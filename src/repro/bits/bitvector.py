@@ -109,11 +109,10 @@ class BitVector(Serializable):
         self._build_directory()
 
     def _build_directory(self) -> None:
-        """(Re)compute the cumulative rank directory from the packed words.
+        """Compute the cumulative rank directory from the packed words.
 
-        ``_rank_blocks[w]`` holds the number of ones in ``words[0:w]``; both
-        the constructor and :meth:`read` (via :meth:`_from_words`) derive the
-        directory through this single helper.
+        ``_rank_blocks[w]`` holds the number of ones in ``words[0:w]``.
+        :meth:`read` does not call this: the directory is persisted.
         """
         n_words = self._words.size
         counts = _popcount_words(self._words) if n_words else np.zeros(0, dtype=np.uint32)
@@ -147,29 +146,19 @@ class BitVector(Serializable):
             arr[np.asarray(positions, dtype=np.int64)] = True
         return cls(arr)
 
-    @classmethod
-    def _from_words(cls, words: np.ndarray, length: int) -> "BitVector":
-        """Rebuild from packed words, recomputing the rank directory."""
-        bv = cls.__new__(cls)
-        bv._length = int(length)
-        bv._words = np.ascontiguousarray(words, dtype=np.uint64)
-        bv._build_directory()
-        return bv
-
     # -- persistence -----------------------------------------------------------
 
     def write(self, fp: BinaryIO) -> None:
-        """Serialise the bit vector (packed words + length).
+        """Serialise the bit vector (length + packed words + rank directory).
 
-        v2 files also persist the rank directory (``RDIR``), so reading back
-        costs no popcount pass -- essential for the O(metadata) mapped load.
+        Persisting the rank directory (``RDIR``) means reading back costs no
+        popcount pass -- essential for the O(metadata) mapped load.
         """
         writer = ChunkWriter(fp)
         writer.header("BitVector")
         writer.int("NBIT", self._length)
         writer.array("WORD", self._words)
-        if writer.version >= 2:
-            writer.array("RDIR", self._rank_blocks)
+        writer.array("RDIR", self._rank_blocks)
 
     @classmethod
     def read(cls, fp: BinaryIO) -> "BitVector":
@@ -189,8 +178,6 @@ class BitVector(Serializable):
         tail_bits = length % _WORD_BITS
         if reader.deep_checks and tail_bits and int(words[-1]) >> tail_bits:
             raise CorruptedFileError("bit vector has set bits beyond its length")
-        if reader.version == 1:
-            return cls._from_words(words, length)
         rank_blocks = reader.array("RDIR").astype(np.uint64, copy=False)
         if rank_blocks.size != words.size + 1:
             raise CorruptedFileError(

@@ -14,22 +14,22 @@ API:
 
 from __future__ import annotations
 
+import contextlib
 import os
+import uuid
 from dataclasses import asdict
 from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
 
-from repro.core.errors import CorruptedFileError, StorageError
+from repro.core.errors import CorruptedFileError
 from repro.core.options import EvaluationOptions, IndexOptions
 from repro.storage.codec import (
     ChunkReader,
     ChunkWriter,
     MappedFile,
     Serializable,
-    peek_file_version,
     record_mapped_load,
-    record_v1_fallback_load,
 )
 from repro.text.pssm import PositionWeightMatrix
 from repro.text.rlcsa import RLCSAIndex
@@ -152,39 +152,49 @@ class Document(Serializable):
         return doc
 
     def save(self, path: str | os.PathLike) -> None:
-        """Write the indexed document to ``path`` (see :meth:`write`)."""
-        with open(path, "wb") as handle:
-            self.write(handle)
+        """Write the indexed document to ``path`` (see :meth:`write`), atomically.
+
+        The bytes go to a temporary file in the same directory, are fsynced,
+        and replace ``path`` in one ``rename``; the directory is fsynced too.
+        A reader that has the old file mapped keeps the old inode (truncating
+        the live path instead would SIGBUS it), and a crash mid-write leaves
+        the old file, never a torn one.
+        """
+        path = os.fspath(path)
+        tmp_path = f"{path}.{uuid.uuid4().hex[:8]}.tmp"
+        handle = open(tmp_path, "xb")
+        try:
+            with handle:
+                self.write(handle)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp_path, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp_path)
+            raise
+        dir_fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
 
     @classmethod
     def load(
         cls,
         path: str | os.PathLike,
-        mapped: bool | None = None,
+        mapped: bool = True,
         verify: str | None = None,
     ) -> "Document":
         """Load a document previously written by :meth:`save`.
 
-        ``mapped=None`` (the default) memory-maps v2 files and falls back to
-        the eager copying reader for v1 files; ``mapped=True`` demands a
-        mapping (raising :class:`StorageError` on a v1 file) and
-        ``mapped=False`` forces eager heap copies regardless of version.
+        By default the file is memory-mapped and the structures are read-only
+        views into it; ``mapped=False`` reads eager heap copies instead.
         ``verify`` selects the mapped checksum mode (``"eager"``, ``"lazy"``
         -- the default -- or ``"off"``); deferred checksums can be run later
-        through :meth:`verify_integrity`.
+        through :meth:`verify_integrity`.  A file of an unsupported container
+        version raises :class:`VersionMismatchError` either way.
         """
-        if mapped is None or mapped:
-            version = peek_file_version(path)
-            if version < 2:
-                if mapped:
-                    raise StorageError(
-                        f"{os.fspath(path)!r} is a v{version} file; mapped load needs format v2 "
-                        "(re-save the document to upgrade it)"
-                    )
-                mapped = False
-                record_v1_fallback_load()
-            else:
-                mapped = True
         if not mapped:
             with open(path, "rb") as handle:
                 return cls.read(handle)
@@ -394,15 +404,9 @@ class Document(Serializable):
 
     # -- text predicate dispatch (FM-index / plain / word index) ----------------------------------------------
 
-    def match_text_predicate(
-        self, kind: str, pattern: str, threshold: float | None = None, batch_kernels: bool = True
-    ) -> np.ndarray:
-        """Text identifiers whose content satisfies the predicate ``kind(pattern)``.
-
-        ``batch_kernels=False`` routes the occurrence-locating predicates
-        through the scalar FM-index walk (the cross-checked reference path).
-        """
-        ids = self._match_text_predicate(kind, pattern, threshold, batch_kernels)
+    def match_text_predicate(self, kind: str, pattern: str, threshold: float | None = None) -> np.ndarray:
+        """Text identifiers whose content satisfies the predicate ``kind(pattern)``."""
+        ids = self._match_text_predicate(kind, pattern, threshold)
         # A document without any text is indexed over one phantom empty text
         # (the FM-index needs content); identifiers past the tree's real text
         # leaves must never escape to the planner or the bottom-up seeds.
@@ -411,9 +415,7 @@ class Document(Serializable):
             ids = ids[ids < self.tree.num_texts]
         return ids
 
-    def _match_text_predicate(
-        self, kind: str, pattern: str, threshold: float | None, batch_kernels: bool = True
-    ) -> np.ndarray:
+    def _match_text_predicate(self, kind: str, pattern: str, threshold: float | None) -> np.ndarray:
         if kind == "pssm":
             matrix, score = self.pssm_matrix(pattern, threshold)
             from repro.text.pssm import pssm_search
@@ -423,13 +425,11 @@ class Document(Serializable):
             return self.word_index.contains(pattern)
         collection = self.text_collection
         if kind == "contains":
-            return collection.contains_auto(
-                pattern, cutoff=self.options.contains_cutoff, batch=batch_kernels
-            )
+            return collection.contains_auto(pattern, cutoff=self.options.contains_cutoff)
         if kind == "starts-with":
             return collection.starts_with(pattern)
         if kind == "ends-with":
-            return collection.ends_with(pattern, batch=batch_kernels)
+            return collection.ends_with(pattern)
         if kind == "equals":
             return collection.equals(pattern)
         raise ValueError(f"unknown text predicate kind {kind!r}")

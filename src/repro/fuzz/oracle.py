@@ -51,16 +51,13 @@ __all__ = [
     "check_case",
 ]
 
-#: Evaluation-options configurations every supported query is checked under.
-#: ``scalar-kernels`` runs the engine with the batch (vectorised) kernels
-#: switched off, so every fuzz sample cross-checks the batch hot path against
-#: its scalar reference implementation.
+#: Evaluation-options configurations every supported query is checked under
+#: (each against the DOM oracle).
 EVAL_MATRIX: dict[str, EvaluationOptions] = {
     "default": EvaluationOptions(),
     "naive": EvaluationOptions.naive(),
     "top-down": EvaluationOptions(allow_bottom_up=False),
     "eager": EvaluationOptions(lazy_result_sets=False, early_evaluation=False),
-    "scalar-kernels": EvaluationOptions(batch_kernels=False),
 }
 
 #: Index-options configurations the fuzz loop samples documents from.

@@ -19,7 +19,7 @@ The one layer every part of the serving stack reports into:
   field passing, used for the server's access and slow-query logs.
 """
 
-from repro.obs.counters import ENGINE_COUNTERS, EngineCounters, register_engine_metrics
+from repro.obs.counters import ENGINE_COUNTERS, Counters
 from repro.obs.logging import JsonLineFormatter, KeyValueFormatter, configure_logging, get_logger
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -43,9 +43,8 @@ __all__ = [
     "get_tracer",
     "set_tracer",
     "current_span",
-    "EngineCounters",
+    "Counters",
     "ENGINE_COUNTERS",
-    "register_engine_metrics",
     "MetricsRegistry",
     "get_registry",
     "set_registry",

@@ -8,7 +8,7 @@ their instruments here at import time, without knowing about the HTTP server;
 ``ServerMetrics`` (:mod:`repro.server.metrics`) is a thin façade that renders
 the same registry as the ``/metrics`` page.
 
-Design rules, in line with the ``EngineCounters`` discipline:
+Design rules, in line with the engine-counter discipline:
 
 * **Updates are cheap and thread-safe** (one small lock per family), but they
   still belong at query/load *completion*, never inside rank/select hot loops.

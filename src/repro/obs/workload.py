@@ -15,7 +15,7 @@ estimated-versus-actual ratio (estimate over visited nodes) -- the number to
 watch when tuning the cost model or an admission budget.
 
 Recording happens once per query at ``run_many`` completion -- off the
-rank/select hot loops, same discipline as ``EngineCounters``.  The server
+rank/select hot loops, same discipline as the engine counters.  The server
 exposes the snapshot as ``GET /v1/debug/workload`` and ``repro-serve`` can
 switch recording off with ``--no-workload``.
 """

@@ -62,9 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--mmap",
         action=argparse.BooleanOptionalAction,
-        default=None,
-        help="memory-map document files instead of copying them to the heap "
-        "(default: map v2 files, copy v1 files; --mmap requires v2, --no-mmap always copies)",
+        default=True,
+        help="memory-map document files (the default); --no-mmap copies them to the heap",
     )
     parser.add_argument(
         "--verify",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.obs.counters import register_engine_metrics, register_planner_metrics
+from repro.obs.counters import ENGINE_COUNTERS, PLANNER_COUNTERS
 from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry, get_registry
 from repro.obs.resources import register_process_metrics
 
@@ -68,8 +68,8 @@ class ServerMetrics:
             labels=("route",),
             buckets=LATENCY_BUCKETS,
         )
-        register_engine_metrics(registry)
-        register_planner_metrics(registry)
+        ENGINE_COUNTERS.register("engine", registry)
+        PLANNER_COUNTERS.register("planner", registry)
         register_process_metrics(registry)
 
     @property

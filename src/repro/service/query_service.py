@@ -188,7 +188,7 @@ def _serve_shard(
                     "doc_id": doc_id,
                     "strategy": result.plan.strategy,
                     "plan": result.plan.as_dict(),
-                    "cardinalities": document.engine.exact_cardinalities(plan, options),
+                    "cardinalities": document.engine.exact_cardinalities(plan),
                     "statistics": result.statistics.as_dict(),
                     "elapsed_seconds": result.elapsed_seconds,
                 }
@@ -202,14 +202,14 @@ def _serve_shard(
 #: documents resident and its plans compiled -- 4 process workers hold
 #: 4 x ``cache_size`` documents in aggregate, and repeated queries skip both
 #: the disk and the compiler entirely.
-_WORKER_STORES: dict[tuple[str, int, bool | None, str | None], DocumentStore] = {}
+_WORKER_STORES: dict[tuple[str, int, bool, str | None], DocumentStore] = {}
 _WORKER_PLANS: dict[str, PlanCache] = {}
 
 
 def _serve_shards_in_process(
     root: str,
     cache_size: int,
-    mapped: bool | None,
+    mapped: bool,
     verify: str | None,
     shard_members: Sequence[tuple[int, Sequence[str]]],
     job_texts: Sequence[tuple[int, str]],
@@ -229,7 +229,7 @@ def _serve_shards_in_process(
     Engine counters work the same way: this worker's :data:`ENGINE_COUNTERS`
     is a *different* process-global than the parent's, so the delta
     accumulated over the batch is shipped back as the second return element
-    and the parent folds it via :meth:`EngineCounters.merge` -- ``/metrics``
+    and the parent folds it via :meth:`Counters.merge` -- ``/metrics``
     in the serving process counts process-executor queries exactly like
     inline ones.
     """
@@ -237,7 +237,7 @@ def _serve_shards_in_process(
     planner_before = PLANNER_COUNTERS.snapshot()
     store = _WORKER_STORES.get((root, cache_size, mapped, verify))
     if store is None:
-        # With mapped loads (the default over v2 files) every worker's views
+        # With mapped loads (the default) every worker's views
         # resolve to the same physical page-cache pages, so N processes cost
         # one corpus in RAM instead of N.
         store = DocumentStore(root, cache_size=cache_size, mapped=mapped, verify=verify)

@@ -18,9 +18,7 @@ from repro.storage.codec import (
     MappedFile,
     MappedSource,
     Serializable,
-    peek_file_version,
     peek_kind,
-    write_format,
 )
 
 __all__ = [
@@ -34,6 +32,4 @@ __all__ = [
     "MappedSource",
     "Serializable",
     "peek_kind",
-    "peek_file_version",
-    "write_format",
 ]

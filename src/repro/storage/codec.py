@@ -6,36 +6,32 @@ Every persisted structure is framed the same way:
   version, and the *kind* of the payload (the class name, length-prefixed);
 * a sequence of **chunks** -- ``[name:4 ascii][length:u64][crc32:u32][payload]``.
 
-Two container versions share that frame:
+There is one container version, 2 (a file of any other version is rejected
+by :meth:`ChunkReader.header` with :class:`VersionMismatchError`).  It is the
+*zero-copy* layout: array chunk payloads carry an explicit pad so the raw
+``numpy`` data starts 64-byte-aligned relative to the start of the file, and
+nested structures are written **inline** (their chunks land in the parent's
+byte stream, with the child chunk head back-patched to the encoded length),
+so every array in the whole structure tree sits at a known aligned absolute
+offset.  A reader backed by :class:`MappedFile` then hands each structure a
+read-only ``numpy`` view straight into the OS page cache instead of a heap
+copy -- loading becomes O(metadata), and N processes serving the same file
+share one set of physical pages.
 
-* **v1** (the original format) stores every chunk payload verbatim and nested
-  structures as opaque child chunks holding the child's complete
-  serialisation.  Reading always copies and always verifies every CRC.
-* **v2** (the default since this codec revision) is the *zero-copy* layout:
-  array chunk payloads carry an explicit pad so the raw ``numpy`` data starts
-  64-byte-aligned relative to the start of the file, and nested structures
-  are written **inline** (their chunks land in the parent's byte stream, with
-  the child chunk head back-patched to the encoded length), so every array
-  in the whole structure tree sits at a known aligned absolute offset.  A
-  reader backed by :class:`MappedFile` then hands each structure a read-only
-  ``numpy`` view straight into the OS page cache instead of a heap copy --
-  loading becomes O(metadata), and N processes serving the same file share
-  one set of physical pages.
-
-Integrity on the v2 mapped path is tunable (``verify="eager" | "lazy" |
+Integrity on the mapped path is tunable (``verify="eager" | "lazy" |
 "off"``): small metadata chunks are always verified eagerly (they are a few
 bytes and drive control flow), while array payload checksums are either
 checked at open (``eager``), recorded and checked on demand through
 :meth:`MappedFile.verify_pending` (``lazy``, the default used by
 ``Document.load``), or skipped (``off``).  Inline child chunks carry a zero
 CRC sentinel -- their integrity is exactly the integrity of the nested leaf
-chunks.  Non-mapped reads (v1 files, ``from_bytes``) keep the original
-semantics: every payload is verified and every array is a writable copy.
+chunks.  Non-mapped reads (``mapped=False``, ``from_bytes``) verify every
+payload and return every array as a writable copy.
 
 The codec is deliberately dumb: fixed little-endian framing, no compression,
 no references.  The structures themselves are already compressed; what
 matters here is that loading is a handful of ``numpy`` buffer *views* (or
-copies, for v1) instead of an index construction.
+copies, when not mapped) instead of an index construction.
 """
 
 from __future__ import annotations
@@ -45,8 +41,6 @@ import mmap
 import os
 import struct
 import zlib
-from contextlib import contextmanager
-from contextvars import ContextVar
 from typing import BinaryIO, Iterable
 
 import json
@@ -66,58 +60,30 @@ __all__ = [
     "MappedSource",
     "Serializable",
     "peek_kind",
-    "peek_file_version",
-    "write_format",
     "record_mapped_load",
     "record_crc_verifications",
-    "record_v1_fallback_load",
 ]
 
 MAGIC = b"SXSI"
-#: Default container version written by :class:`ChunkWriter`.
+#: The container version :class:`ChunkWriter` writes.
 FORMAT_VERSION = 2
 #: Container versions this library can read.
-SUPPORTED_VERSIONS = (1, 2)
-#: Raw array data in v2 files starts at a multiple of this many bytes.
+SUPPORTED_VERSIONS = (2,)
+#: Raw array data starts at a multiple of this many bytes from the file start.
 ARRAY_ALIGNMENT = 64
 
 _CHUNK_HEAD = struct.Struct("<QI")  # payload length, crc32
 _VERIFY_MODES = ("eager", "lazy", "off")
 
-#: The container version new writers use; ``write_format`` overrides it so
-#: tests (and migration tools) can still produce v1 files.
-_WRITE_VERSION: ContextVar[int] = ContextVar("repro_codec_write_version", default=FORMAT_VERSION)
-
-
-@contextmanager
-def write_format(version: int):
-    """Write every structure serialised inside the block in ``version`` format.
-
-    >>> with write_format(1):
-    ...     document.save(path)   # a v1 eager-copy file, readable by old code
-    """
-    if version not in SUPPORTED_VERSIONS:
-        raise StorageError(f"cannot write codec version {version}; supported: {SUPPORTED_VERSIONS}")
-    token = _WRITE_VERSION.set(int(version))
-    try:
-        yield
-    finally:
-        _WRITE_VERSION.reset(token)
-
-
 class ChunkWriter:
     """Sequential writer of the header plus typed chunks.
 
-    ``version`` defaults to the ambient :func:`write_format` (2 unless
-    overridden).  Version 2 requires a seekable ``fp`` (child chunk heads are
-    back-patched); both ``Document.save`` and ``to_bytes`` provide one.
+    ``fp`` must be seekable (child chunk heads are back-patched); both
+    ``Document.save`` and ``to_bytes`` provide one.
     """
 
-    def __init__(self, fp: BinaryIO, version: int | None = None):
+    def __init__(self, fp: BinaryIO):
         self._fp = fp
-        self.version = int(version) if version is not None else _WRITE_VERSION.get()
-        if self.version not in SUPPORTED_VERSIONS:
-            raise StorageError(f"cannot write codec version {self.version}")
 
     # -- framing ---------------------------------------------------------------
 
@@ -126,7 +92,7 @@ class ChunkWriter:
         encoded = kind.encode("ascii")
         if not 1 <= len(encoded) <= 255:
             raise StorageError(f"kind {kind!r} must be 1..255 ASCII characters")
-        self._fp.write(MAGIC + struct.pack("<HB", self.version, len(encoded)) + encoded)
+        self._fp.write(MAGIC + struct.pack("<HB", FORMAT_VERSION, len(encoded)) + encoded)
 
     @staticmethod
     def _name(name: str) -> bytes:
@@ -156,7 +122,7 @@ class ChunkWriter:
     def array(self, name: str, arr: np.ndarray) -> None:
         """Write a ``numpy`` array chunk (dtype + shape + raw buffer).
 
-        In v2 the payload carries an explicit pad (``uint16``) sized so the
+        The payload carries an explicit pad (``uint16``) sized so the
         raw data begins at a multiple of :data:`ARRAY_ALIGNMENT` bytes from
         the start of the file; a mapped reader can then hand out aligned
         zero-copy views.  The pad is *stored*, so detached reads (a payload
@@ -166,9 +132,6 @@ class ChunkWriter:
         dtype = arr.dtype.str.encode("ascii")
         head = struct.pack("<B", len(dtype)) + dtype + struct.pack("<B", arr.ndim)
         head += struct.pack(f"<{arr.ndim}q", *arr.shape)
-        if self.version == 1:
-            self.chunk(name, head + arr.tobytes())
-            return
         data = memoryview(arr).cast("B") if arr.nbytes else b""
         # Absolute offset the raw data would start at with a zero pad:
         # current position + chunk head + metadata + the pad field itself.
@@ -193,28 +156,20 @@ class ChunkWriter:
     def child(self, name: str, obj: "Serializable") -> None:
         """Write a nested structure.
 
-        v1 embeds the child's complete ``to_bytes`` serialisation as an
-        opaque checksummed payload.  v2 writes the child **inline** into the
-        same stream (so its array chunks stay file-aligned) and back-patches
-        the chunk length; the CRC field is the zero sentinel -- integrity
-        comes from the child's own leaf chunks.
+        The child is written **inline** into the same stream (so its array
+        chunks stay file-aligned) and the chunk length is back-patched; the
+        CRC field is the zero sentinel -- integrity comes from the child's
+        own leaf chunks.
         """
-        token = _WRITE_VERSION.set(self.version)  # children inherit the container version
-        try:
-            if self.version == 1:
-                self.chunk(name, obj.to_bytes())
-                return
-            encoded = self._name(name)
-            head_pos = self._fp.tell()
-            self._fp.write(encoded + _CHUNK_HEAD.pack(0, 0))
-            start = self._fp.tell()
-            obj.write(self._fp)
-            end = self._fp.tell()
-            self._fp.seek(head_pos)
-            self._fp.write(encoded + _CHUNK_HEAD.pack(end - start, 0))
-            self._fp.seek(end)
-        finally:
-            _WRITE_VERSION.reset(token)
+        encoded = self._name(name)
+        head_pos = self._fp.tell()
+        self._fp.write(encoded + _CHUNK_HEAD.pack(0, 0))
+        start = self._fp.tell()
+        obj.write(self._fp)
+        end = self._fp.tell()
+        self._fp.seek(head_pos)
+        self._fp.write(encoded + _CHUNK_HEAD.pack(end - start, 0))
+        self._fp.seek(end)
 
 
 class MappedFile:
@@ -408,15 +363,6 @@ def record_mapped_load(mapped_file: "MappedFile") -> None:
         mapped_file.verified = 0
 
 
-def record_v1_fallback_load() -> None:
-    """Fold one document load that fell back to the v1 copy-everything path."""
-    from repro.obs.metrics import get_registry
-
-    get_registry().counter(
-        "storage_v1_loads_total", "Documents loaded via the v1 heap-copy fallback format."
-    ).inc()
-
-
 class MappedSource:
     """A file-like cursor over a :class:`MappedFile`, handing out zero-copy views.
 
@@ -466,17 +412,15 @@ class MappedSource:
 class ChunkReader:
     """Sequential reader mirroring :class:`ChunkWriter`, with integrity checks.
 
-    Accepts a plain binary file object (eager copies, every CRC verified --
-    the v1 semantics) or a :class:`MappedSource` (zero-copy array views,
-    checksums per the mapping's ``verify`` mode).  The container version is
-    learnt from :meth:`header`; the reader accepts every version in
-    :data:`SUPPORTED_VERSIONS`.
+    Accepts a plain binary file object (eager copies, every CRC verified) or
+    a :class:`MappedSource` (zero-copy array views, checksums per the
+    mapping's ``verify`` mode).  :meth:`header` is the one place the
+    container version is checked against :data:`SUPPORTED_VERSIONS`.
     """
 
     def __init__(self, fp: BinaryIO | MappedSource):
         self._fp = fp
         self._source: MappedSource | None = fp if isinstance(fp, MappedSource) else None
-        self.version = FORMAT_VERSION
 
     @property
     def mapped(self) -> bool:
@@ -512,7 +456,6 @@ class ChunkReader:
             raise VersionMismatchError(
                 f"file uses codec version {version}, this library reads versions {SUPPORTED_VERSIONS}"
             )
-        self.version = int(version)
         kind = self._read_exact(kind_len).decode("ascii")
         if expected_kind is not None:
             allowed = (expected_kind,) if isinstance(expected_kind, str) else tuple(expected_kind)
@@ -532,12 +475,12 @@ class ChunkReader:
 
         Metadata chunks are always verified, mapped or not: they are a few
         bytes and drive control flow, so a flipped bit here must fail fast.
-        (A zero CRC over a non-empty v2 payload is the inline-child sentinel
+        (A zero CRC over a non-empty payload is the inline-child sentinel
         and never reaches this method through the typed helpers.)
         """
         length, crc = self._chunk_head(expected_name)
         payload = self._read_exact(length)
-        if (crc or self.version == 1) and zlib.crc32(payload) != crc:
+        if crc and zlib.crc32(payload) != crc:
             raise CorruptedFileError(f"checksum mismatch in chunk {expected_name!r}")
         return payload
 
@@ -562,7 +505,7 @@ class ChunkReader:
         return self.chunk(name)
 
     @staticmethod
-    def _array_meta(payload: bytes | memoryview, version: int) -> tuple[np.dtype, tuple, int]:
+    def _array_meta(payload: bytes | memoryview) -> tuple[np.dtype, tuple, int]:
         """Parse an array payload's metadata; returns (dtype, shape, data offset)."""
         (dtype_len,) = struct.unpack_from("<B", payload, 0)
         dtype = np.dtype(bytes(payload[1 : 1 + dtype_len]).decode("ascii"))
@@ -571,23 +514,22 @@ class ChunkReader:
         offset += 1
         shape = struct.unpack_from(f"<{ndim}q", payload, offset)
         offset += 8 * ndim
-        if version >= 2:
-            (pad,) = struct.unpack_from("<H", payload, offset)
-            offset += 2 + pad
+        (pad,) = struct.unpack_from("<H", payload, offset)
+        offset += 2 + pad
         return dtype, shape, offset
 
     def array(self, name: str) -> np.ndarray:
         """Read a ``numpy`` array chunk.
 
-        Non-mapped reads return a writable copy detached from the payload
-        (the original semantics).  Mapped reads return a **read-only view**
+        Non-mapped reads return a writable copy detached from the payload.
+        Mapped reads return a **read-only view**
         into the file mapping; the checksum is handled per the mapping's
         ``verify`` mode.
         """
         if self._source is None:
             payload = self.chunk(name)
             try:
-                dtype, shape, offset = self._array_meta(payload, self.version)
+                dtype, shape, offset = self._array_meta(payload)
                 arr = np.frombuffer(payload, dtype=dtype, offset=offset).reshape(shape)
             except (struct.error, TypeError, ValueError) as exc:
                 raise CorruptedFileError(f"malformed array chunk {name!r}: {exc}") from exc
@@ -601,7 +543,7 @@ class ChunkReader:
         # through the parse channel so it faults no mapped pages.
         head = source.file.pread(min(length, 1024), payload_start)
         try:
-            dtype, shape, offset = self._array_meta(head, self.version)
+            dtype, shape, offset = self._array_meta(head)
             count = 1
             for dim in shape:
                 count *= int(dim)
@@ -642,13 +584,10 @@ class ChunkReader:
     def child(self, name: str, cls):
         """Read a nested structure.
 
-        v1 children decode through ``cls.from_bytes`` from the checksummed
-        payload.  v2 children are read **inline** from the same stream (which
-        is what keeps mapped array offsets absolute); the bytes consumed must
-        match the recorded length exactly.
+        Children are read **inline** from the same stream (which is what
+        keeps mapped array offsets absolute); the bytes consumed must match
+        the recorded length exactly.
         """
-        if self.version == 1:
-            return cls.from_bytes(self.chunk(name))
         length, _crc = self._chunk_head(name)
         start = self._fp.tell()
         obj = cls.read(self._fp)
@@ -696,16 +635,3 @@ def peek_kind(data: bytes) -> str:
     """Return the payload kind of a serialised structure without decoding it."""
     return ChunkReader(io.BytesIO(data)).header()
 
-
-def peek_file_version(path: str | os.PathLike) -> int:
-    """Return the container version of a serialised file without decoding it."""
-    with open(path, "rb") as handle:
-        head = handle.read(len(MAGIC) + 2)
-    if len(head) < len(MAGIC) + 2 or head[: len(MAGIC)] != MAGIC:
-        raise CorruptedFileError(f"{os.fspath(path)!r} is not an SXSI index file")
-    (version,) = struct.unpack_from("<H", head, len(MAGIC))
-    if version not in SUPPORTED_VERSIONS:
-        raise VersionMismatchError(
-            f"file uses codec version {version}, this library reads versions {SUPPORTED_VERSIONS}"
-        )
-    return int(version)

@@ -85,10 +85,10 @@ class DocumentStore:
     cache_size:
         Maximum number of loaded documents kept resident (LRU eviction).
     mapped:
-        Passed to :meth:`Document.load` -- ``None`` (default) memory-maps v2
-        files and copies v1 files, ``True``/``False`` force one mode.  Mapped
-        residents hold page-cache views instead of heap copies, so N stores
-        (or N worker processes) over the same files share physical memory.
+        Passed to :meth:`Document.load`.  Mapped residents (the default) hold
+        page-cache views instead of heap copies, so N stores (or N worker
+        processes) over the same files share physical memory; ``False``
+        loads heap copies.
     verify:
         Checksum mode for mapped loads (``"eager"``, ``"lazy"``, ``"off"``).
     """
@@ -98,7 +98,7 @@ class DocumentStore:
         root: str | os.PathLike,
         num_shards: int = 16,
         cache_size: int = 8,
-        mapped: bool | None = None,
+        mapped: bool = True,
         verify: str | None = None,
     ):
         if num_shards < 1:
@@ -106,7 +106,7 @@ class DocumentStore:
         if cache_size < 1:
             raise StorageError("the resident cache must hold at least one document")
         self._root = Path(root)
-        self._mapped = mapped
+        self._mapped = bool(mapped)
         self._verify = verify
         self._cache: OrderedDict[str, Document] = OrderedDict()
         #: (mtime_ns, size) of each resident document's file at load time;
@@ -173,8 +173,8 @@ class DocumentStore:
         return self._cache_size
 
     @property
-    def mapped(self) -> bool | None:
-        """The mapped-load mode documents are loaded with (None = auto)."""
+    def mapped(self) -> bool:
+        """Whether documents are loaded memory-mapped (else as heap copies)."""
         return self._mapped
 
     @property
@@ -489,7 +489,7 @@ class DocumentStore:
             "disk_bytes": disk_bytes,
             "cache": self.cache_info(),
             "storage": {
-                "mode": "auto" if self._mapped is None else ("mapped" if self._mapped else "heap"),
+                "mode": "mapped" if self._mapped else "heap",
                 "resident_mapped_documents": len(mapped_docs),
                 "resident_mapped_bytes": sum(doc.mapped_bytes for doc in mapped_docs),
                 "residency": residency,

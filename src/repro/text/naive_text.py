@@ -61,23 +61,18 @@ class NaiveTextCollection(Serializable):
     # -- persistence ------------------------------------------------------------
 
     def write(self, fp: BinaryIO) -> None:
-        """Serialise the texts: v1 keeps the length-prefixed list layout, v2
-        stores the offset table and the concatenated blob (two mappable arrays)."""
+        """Serialise the texts as the offset table and the concatenated blob
+        (two mappable arrays)."""
         writer = ChunkWriter(fp)
         writer.header("NaiveTextCollection")
-        if writer.version == 1:
-            writer.bytes_list("TXTS", self._materialized())
-        else:
-            writer.array("OFFS", self._offsets)
-            writer.array("BLOB", self._blob)
+        writer.array("OFFS", self._offsets)
+        writer.array("BLOB", self._blob)
 
     @classmethod
     def read(cls, fp: BinaryIO) -> "NaiveTextCollection":
         """Read a collection written by :meth:`write`."""
         reader = ChunkReader(fp)
         reader.header("NaiveTextCollection")
-        if reader.version == 1:
-            return cls(reader.bytes_list("TXTS"))
         offsets = reader.array("OFFS").astype(np.int64, copy=False)
         blob = reader.array("BLOB").astype(np.uint8, copy=False)
         if offsets.size < 1:

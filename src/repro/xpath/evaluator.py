@@ -76,9 +76,7 @@ class TopDownEvaluator:
         self._automaton: Automaton = compiled.automaton
         self._options = options or EvaluationOptions()
         self._stats = stats or EvaluationStatistics()
-        self._predicates = predicate_runtime or TextPredicateRuntime(
-            document, self._stats, batch_kernels=self._options.batch_kernels
-        )
+        self._predicates = predicate_runtime or TextPredicateRuntime(document, self._stats)
         self._semiring: ResultSemiring = (
             CountingSemiring() if self._options.counting else MaterializingSemiring()
         )
@@ -278,26 +276,13 @@ class TopDownEvaluator:
             triggers = self._jump_spec(states)
             if triggers is not None:
                 self._stats.jumps += 1
-                parent_tag = tree.tag(parent)
-                if self._options.batch_kernels:
-                    tags = self._trigger_array(states, triggers)
-                    if self._options.use_tag_tables and tags.size:
-                        tags = tags[self._tables.occurs_as_descendant_many(parent_tag, tags)]
-                    self._stats.kernel_batch_calls += 1
-                    candidates = tree.tagged_desc_many(parent, tags)
-                    candidates = candidates[candidates != NIL]
-                    best = int(candidates.min()) if candidates.size else NIL
-                    return best, parent, states
-                best = NIL
-                for tag in triggers:
-                    if tag >= self._num_real_tags:
-                        continue
-                    if self._options.use_tag_tables and not self._tables.occurs_as_descendant(parent_tag, tag):
-                        continue
-                    self._stats.select_calls += 1
-                    candidate = tree.tagged_desc(parent, tag)
-                    if candidate != NIL and (best == NIL or candidate < best):
-                        best = candidate
+                tags = self._trigger_array(states, triggers)
+                if self._options.use_tag_tables and tags.size:
+                    tags = tags[self._tables.occurs_as_descendant_many(tree.tag(parent), tags)]
+                self._stats.kernel_batch_calls += 1
+                candidates = tree.tagged_desc_many(parent, tags)
+                candidates = candidates[candidates != NIL]
+                best = int(candidates.min()) if candidates.size else NIL
                 return best, parent, states
         return tree.first_child(parent), parent, states
 
@@ -308,26 +293,13 @@ class TopDownEvaluator:
             if triggers is not None:
                 self._stats.jumps += 1
                 close_limit = tree.close(limit)
-                limit_tag = tree.tag(limit)
-                if self._options.batch_kernels:
-                    tags = self._trigger_array(states, triggers)
-                    if self._options.use_tag_tables and tags.size:
-                        tags = tags[self._tables.occurs_as_descendant_many(limit_tag, tags)]
-                    self._stats.kernel_batch_calls += 1
-                    candidates = tree.tagged_foll_many(node, tags)
-                    candidates = candidates[(candidates != NIL) & (candidates < close_limit)]
-                    best = int(candidates.min()) if candidates.size else NIL
-                    return best, limit, states
-                best = NIL
-                for tag in triggers:
-                    if tag >= self._num_real_tags:
-                        continue
-                    if self._options.use_tag_tables and not self._tables.occurs_as_descendant(limit_tag, tag):
-                        continue
-                    self._stats.select_calls += 1
-                    candidate = tree.tagged_foll(node, tag)
-                    if candidate != NIL and candidate < close_limit and (best == NIL or candidate < best):
-                        best = candidate
+                tags = self._trigger_array(states, triggers)
+                if self._options.use_tag_tables and tags.size:
+                    tags = tags[self._tables.occurs_as_descendant_many(tree.tag(limit), tags)]
+                self._stats.kernel_batch_calls += 1
+                candidates = tree.tagged_foll_many(node, tags)
+                candidates = candidates[(candidates != NIL) & (candidates < close_limit)]
+                best = int(candidates.min()) if candidates.size else NIL
                 return best, limit, states
         return tree.next_sibling(node), limit, states
 

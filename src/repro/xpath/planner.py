@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.obs.counters import PLANNER_COUNTERS
+from repro.obs.counters import PLANNER_COUNTERS, record_plan
 from repro.xpath.ast import (
     AndExpr,
     Axis,
@@ -41,7 +41,7 @@ from repro.xpath.ast import (
     TextTest,
     WildcardTest,
 )
-from repro.xpath.cost import CostEstimate, element_candidate_bound, estimate_plan_costs, use_batch_kernels
+from repro.xpath.cost import CostEstimate, element_candidate_bound, estimate_plan_costs
 from repro.xpath.formula import BuiltinPredicate
 from repro.xpath.runtime import TextPredicateRuntime
 
@@ -93,7 +93,6 @@ class QueryPlan:
     #: Cost-model outputs (node-visit units; see :mod:`repro.xpath.cost`).
     estimated_cost: float | None = None
     result_estimate: int | None = None
-    use_batch_kernels: bool = True
     cost: CostEstimate | None = None
 
     def describe(self) -> str:
@@ -117,7 +116,6 @@ class QueryPlan:
             "reasons": list(self.reasons),
             "estimated_cost": self.estimated_cost,
             "result_estimate": self.result_estimate,
-            "use_batch_kernels": self.use_batch_kernels,
             "costs": self.cost.as_dict() if self.cost is not None else None,
             "summary": self.describe(),
         }
@@ -210,7 +208,7 @@ class QueryPlanner:
             plan.reasons.append(
                 f"wildcard last step: bounding candidates by the document's {candidates} element nodes"
             )
-            PLANNER_COUNTERS.record_wildcard_fallback()
+            PLANNER_COUNTERS.merge({"wildcard_candidate_fallbacks_total": 1})
         plan.seed_estimate = seeds
         plan.candidate_estimate = candidates
         if seeds > candidates:
@@ -232,9 +230,8 @@ class QueryPlanner:
 
     def _finalise(self, plan: QueryPlan, path: LocationPath, num_text_predicates: int) -> QueryPlan:
         """Attach the cost-model outputs and fold the plan into the counters."""
-        tree = self._document.tree
         plan.cost = estimate_plan_costs(
-            tree,
+            self._document.tree,
             path,
             seeds=plan.seed_estimate,
             candidates=plan.candidate_estimate,
@@ -242,8 +239,7 @@ class QueryPlanner:
         )
         plan.estimated_cost = plan.cost.for_strategy(plan.strategy)
         plan.result_estimate = plan.cost.result
-        plan.use_batch_kernels = use_batch_kernels(plan.strategy, plan.seed_estimate, tree.num_nodes)
-        PLANNER_COUNTERS.record_plan(plan)
+        record_plan(plan)
         return plan
 
     # -- helpers ---------------------------------------------------------------------------------------------

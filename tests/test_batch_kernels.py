@@ -14,14 +14,15 @@ import random
 import numpy as np
 import pytest
 
+from repro.baseline import DomEngine
 from repro.bits.bitvector import BitVector
 from repro.bits.intarray import PackedIntArray
 from repro.bits.sparse import SparseBitVector
 from repro.core.document import Document
-from repro.core.options import EvaluationOptions
 from repro.sequence.runlength import RunLengthSequence
 from repro.sequence.wavelet_tree import WaveletTree
 from repro.text.fm_index import FMIndex
+from repro.xmlmodel.model import build_model
 
 RNG = np.random.default_rng(20260726)
 
@@ -282,7 +283,7 @@ def test_balanced_parens_batch_equals_scalar():
 
 
 # ---------------------------------------------------------------------------
-# engine: batch path vs scalar path
+# engine: the kernel-driven evaluators vs the DOM oracle
 # ---------------------------------------------------------------------------
 
 ENGINE_XML = (
@@ -295,19 +296,37 @@ ENGINE_XML = (
     + "</items></site>"
 )
 
-ENGINE_QUERIES = [
-    "//person[city[contains(., 'city1')]]/name",
-    "//name[contains(., 'widget2')]",
-    "//person[name[starts-with(., 'name3')]]",
-    "//items//name",
-    "//person[city = 'city0']",
+#: 26 tree nodes: the kernels also serve documents far too small to amortise
+#: a numpy call, and bottom-up runs seeded by zero, one or three texts.
+SMALL_XML = (
+    "<r>"
+    + "".join(f"<e><t>{word}</t></e>" for word in ["solo", "trio", "trio", "trio"] + ["pad"] * 4)
+    + "</r>"
+)
+
+DOCUMENTS = {"site": ENGINE_XML, "small": SMALL_XML}
+
+#: (document, query, strategy the planner picks, bottom-up seed texts)
+ENGINE_CASES = [
+    ("site", "//person[city[contains(., 'city1')]]/name", "top-down", None),
+    ("site", "//name[contains(., 'widget2')]", "bottom-up", 4),
+    ("site", "//person[name[starts-with(., 'name3')]]", "bottom-up", 4),
+    ("site", "//items//name", "top-down", None),
+    ("site", "//person[city = 'city0']", "bottom-up", 9),
+    ("small", "//e/t", "top-down", None),
+    ("small", "//e[t]", "top-down", None),
+    ("small", "//t[contains(., 'absent')]", "bottom-up", 0),
+    ("small", "//t[contains(., 'solo')]", "bottom-up", 1),
+    ("small", "//t[contains(., 'trio')]", "bottom-up", 3),
 ]
 
 
-@pytest.mark.parametrize("query", ENGINE_QUERIES)
-def test_engine_batch_path_equals_scalar_path(query):
-    document = Document.from_string(ENGINE_XML)
-    batch = document.query(query, EvaluationOptions(batch_kernels=True))
-    scalar = document.query(query, EvaluationOptions(batch_kernels=False))
-    assert batch == scalar
-    assert document.count(query, EvaluationOptions(batch_kernels=True)) == len(scalar)
+@pytest.mark.parametrize("name, query, strategy, seeds", ENGINE_CASES)
+def test_engine_equals_dom_oracle(name, query, strategy, seeds):
+    xml = DOCUMENTS[name]
+    document = Document.from_string(xml)
+    expected = DomEngine(build_model(xml)).preorders(query)
+    result = document.evaluate(query)
+    assert (result.plan.strategy, result.plan.seed_estimate) == (strategy, seeds)
+    assert [document.tree.preorder(node) for node in result.nodes] == expected
+    assert document.count(query) == len(expected)

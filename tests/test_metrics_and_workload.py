@@ -14,7 +14,7 @@ import threading
 import pytest
 
 from repro import Document, DocumentStore, IndexOptions, QueryService
-from repro.obs.counters import ENGINE_COUNTERS, EngineCounters
+from repro.obs.counters import ENGINE_COUNTERS, Counters
 from repro.obs.metrics import MetricsRegistry, parse_prometheus_text, set_registry
 from repro.obs.resources import (
     document_residency,
@@ -23,7 +23,6 @@ from repro.obs.resources import (
 )
 from repro.obs.workload import WorkloadAnalytics, fingerprint, set_workload
 from repro.server.metrics import ServerMetrics
-from repro.storage.codec import write_format
 from repro.workloads import generate_xmark_xml
 
 SMALL_XML = "<site><item><name>gold ring</name></item><item><name>tin can</name></item></site>"
@@ -227,9 +226,10 @@ def test_server_metrics_non_default_namespace_is_isolated(registry):
 
 
 def test_engine_counter_delta_and_merge():
-    counters = EngineCounters()
+    fields = {"queries_total": "Queries.", "visited_nodes_total": "Visited nodes."}
+    counters = Counters(fields)
     before = counters.snapshot()
-    merged = EngineCounters()
+    merged = Counters(fields)
     merged.merge({"queries_total": 3, "visited_nodes_total": 70})
     delta = merged.delta_since(before)
     assert delta["queries_total"] == 3
@@ -421,13 +421,6 @@ def test_storage_counters_fold_on_load(tmp_path, registry):
     assert checked > 0
     assert registry.get("storage_crc_verifications_total").labels(mode="lazy").value == checked
     lazy.close()
-
-    v1_path = tmp_path / "doc-v1.sxsi"
-    with write_format(1):
-        doc.save(v1_path)
-    v1 = Document.load(v1_path)  # auto mode falls back to the copy reader
-    assert registry.get("storage_v1_loads_total").value == 1
-    v1.close()
     doc.close()
 
 

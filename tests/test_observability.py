@@ -24,7 +24,6 @@ from repro.client import ReproClient
 from repro.obs import (
     ENGINE_COUNTERS,
     NULL_SPAN,
-    EngineCounters,
     JsonLineFormatter,
     KeyValueFormatter,
     Tracer,
@@ -32,6 +31,7 @@ from repro.obs import (
     get_tracer,
     set_tracer,
 )
+from repro.obs.counters import record_query
 from repro.server import ApiError, ReproServer
 from repro.server.json_api import service_result_from_json, service_result_to_json
 from repro.service.query_service import ServiceResult, ShardTiming
@@ -178,9 +178,10 @@ def _stats(strategy="top-down", **overrides):
 
 
 def test_engine_counters_fold_and_reset():
-    counters = EngineCounters()
-    counters.record_query(_stats("top-down"))
-    counters.record_query(_stats("bottom-up", used_fm_index=False))
+    counters = ENGINE_COUNTERS
+    counters.reset()
+    record_query(_stats("top-down"))
+    record_query(_stats("bottom-up", used_fm_index=False))
     snap = counters.snapshot()
     assert snap["queries_total"] == 2
     assert snap["queries_top_down_total"] == 1

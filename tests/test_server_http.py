@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import struct
 import threading
 import time
 
@@ -17,14 +18,17 @@ import pytest
 
 from repro import (
     CorruptedFileError,
+    Document,
     DocumentNotFoundError,
     DocumentStore,
     IndexOptions,
     QueryService,
     UnsupportedQueryError,
+    VersionMismatchError,
 )
 from repro.client import ReproClient
 from repro.server import ApiError, ReproServer
+from repro.storage.codec import MAGIC
 from repro.xpath.parser import XPathSyntaxError
 
 QUERIES = ["//item", "//item/name", '//item[contains(., "gold")]', "//b"]
@@ -174,18 +178,38 @@ def test_unknown_document_maps_to_404(client):
         client.delete_document("no-such-doc")
 
 
-def test_corrupted_file_maps_to_500(server, client, corpus):
+#: A file that starts like a container of the removed format v1.
+V1_HEADER = MAGIC + struct.pack("<HB", 1, len(b"Document")) + b"Document"
+
+
+@pytest.mark.parametrize(
+    "payload, error",
+    [(b"not an index at all", CorruptedFileError), (V1_HEADER, VersionMismatchError)],
+    ids=["garbage", "v1-header"],
+)
+def test_unreadable_file_maps_to_500(server, client, corpus, payload, error):
     store = server.service.store
     store.add_xml("corrupt-me", "<a><b>x</b></a>")
     path = corpus / f"shard-{store.shard_of('corrupt-me'):03d}" / "corrupt-me.sxsi"
-    path.write_bytes(b"not an index at all")
+    path.write_bytes(payload)
     try:
-        with pytest.raises(CorruptedFileError):
+        for mapped in (True, False):
+            with pytest.raises(error):
+                Document.load(path, mapped=mapped)
+        with pytest.raises(error):
             client.document_stats("corrupt-me")
+        status, data = client._request("GET", "/v1/documents/corrupt-me/stats")
+        assert status == 500
+        assert json.loads(data)["error"]["status"] == 500
         # Batch queries keep answering: the bad file becomes a DocumentFailure.
         result = client.run("//b")
-        assert any(f.doc_id == "corrupt-me" for f in result.failures)
+        assert [f.error for f in result.failures if f.doc_id == "corrupt-me"] == [error.__name__]
         assert result.counts  # the healthy documents still answered
+        # A pool worker reports the same typed failure instead of dying on the file.
+        with QueryService(DocumentStore(corpus, cache_size=4), max_workers=2, executor="process") as pooled:
+            pooled_result = pooled.run("//b")
+        assert [f.error for f in pooled_result.failures if f.doc_id == "corrupt-me"] == [error.__name__]
+        assert pooled_result.counts == result.counts
     finally:
         store.remove("corrupt-me")
 
@@ -203,10 +227,11 @@ def test_validation_errors(server, client):
     with pytest.raises(ApiError) as excinfo:
         client._json("POST", "/v1/query/batch", {"queries": []})
     assert excinfo.value.status == 400
-    with pytest.raises(ApiError) as excinfo:
-        client._json("POST", "/v1/query", {"query": "//item", "options": {"bogus_knob": True}})
-    assert excinfo.value.status == 400
-    assert "bogus_knob" in str(excinfo.value)
+    for removed_or_bogus in ("bogus_knob", "batch_kernels"):
+        with pytest.raises(ApiError) as excinfo:
+            client._json("POST", "/v1/query", {"query": "//item", "options": {removed_or_bogus: False}})
+        assert excinfo.value.status == 400
+        assert removed_or_bogus in str(excinfo.value)
     # Malformed JSON body.
     status, data = client._request("POST", "/v1/query", raw_body=b"{nope")
     assert status == 400

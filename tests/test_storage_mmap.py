@@ -1,4 +1,4 @@
-"""Mapped (v2) storage: cross-version reads, alignment, integrity, fd hygiene."""
+"""Mapped storage: load modes, alignment, integrity, fd hygiene."""
 
 from __future__ import annotations
 
@@ -6,14 +6,16 @@ import gc
 import os
 import resource
 import shutil
+import subprocess
+import sys
 import weakref
 
 import numpy as np
 import pytest
 
 from repro import Document, DocumentStore
-from repro.core.errors import CorruptedFileError, StorageError
-from repro.storage.codec import ARRAY_ALIGNMENT, FORMAT_VERSION, peek_file_version, write_format
+from repro.core.errors import CorruptedFileError
+from repro.storage.codec import ARRAY_ALIGNMENT
 
 QUERIES = [
     "//item",
@@ -25,55 +27,32 @@ QUERIES = [
 
 
 @pytest.fixture(scope="module")
-def saved_paths(tmp_path_factory, small_site_document):
-    """The same document saved as v1 and v2, plus the document itself."""
-    root = tmp_path_factory.mktemp("mmap-docs")
-    v1 = root / "site-v1.sxsi"
-    v2 = root / "site-v2.sxsi"
-    with write_format(1):
-        small_site_document.save(v1)
-    small_site_document.save(v2)
-    return v1, v2
+def saved_path(tmp_path_factory, small_site_document):
+    """The small site document saved to disk."""
+    path = tmp_path_factory.mktemp("mmap-docs") / "site.sxsi"
+    small_site_document.save(path)
+    return path
 
 
-# -- version handling --------------------------------------------------------------------
+# -- load modes --------------------------------------------------------------------------
 
 
-def test_default_write_is_v2_and_peekable(saved_paths):
-    v1, v2 = saved_paths
-    assert FORMAT_VERSION == 2
-    assert peek_file_version(v1) == 1
-    assert peek_file_version(v2) == 2
-
-
-def test_v1_and_v2_cross_read_agree(saved_paths, small_site_document):
-    v1, v2 = saved_paths
+def test_heap_and_mapped_reads_agree_with_the_source(saved_path, small_site_document):
     docs = {
-        "v1-heap": Document.load(v1),
-        "v2-heap": Document.load(v2, mapped=False),
-        "v2-mapped": Document.load(v2, mapped=True),
+        "heap": Document.load(saved_path, mapped=False),
+        "mapped": Document.load(saved_path, mapped=True),
     }
-    assert not docs["v1-heap"].is_mapped
-    assert not docs["v2-heap"].is_mapped
-    assert docs["v2-mapped"].is_mapped
+    assert not docs["heap"].is_mapped
+    assert docs["mapped"].is_mapped
     for query in QUERIES:
         expected = small_site_document.count(query)
         for label, doc in docs.items():
             assert doc.count(query) == expected, f"{label} disagrees on {query!r}"
-    docs["v2-mapped"].close()
+    docs["mapped"].close()
 
 
-def test_mapped_load_of_v1_file_raises(saved_paths):
-    v1, _ = saved_paths
-    with pytest.raises(StorageError, match="v1"):
-        Document.load(v1, mapped=True)
-    # The automatic mode quietly falls back to the eager reader.
-    assert not Document.load(v1).is_mapped
-
-
-def test_auto_mode_maps_v2(saved_paths):
-    _, v2 = saved_paths
-    doc = Document.load(v2)
+def test_default_load_is_mapped(saved_path):
+    doc = Document.load(saved_path)
     assert doc.is_mapped
     doc.close()
 
@@ -81,8 +60,8 @@ def test_auto_mode_maps_v2(saved_paths):
 # -- mapped-view invariants --------------------------------------------------------------
 
 
-def test_every_view_is_64_byte_aligned(saved_paths):
-    _, v2 = saved_paths
+def test_every_view_is_64_byte_aligned(saved_path):
+    v2 = saved_path
     doc = Document.load(v2, mapped=True)
     views = doc._mapped_file.views
     assert views, "a mapped load must hand out views"
@@ -93,8 +72,8 @@ def test_every_view_is_64_byte_aligned(saved_paths):
     doc.close()
 
 
-def test_mapped_arrays_are_read_only(saved_paths):
-    _, v2 = saved_paths
+def test_mapped_arrays_are_read_only(saved_path):
+    v2 = saved_path
     doc = Document.load(v2, mapped=True)
     words = doc.tree.parentheses._bv._words
     assert isinstance(words, np.ndarray)
@@ -104,8 +83,8 @@ def test_mapped_arrays_are_read_only(saved_paths):
     doc.close()
 
 
-def test_mapped_and_heap_results_are_identical(saved_paths):
-    _, v2 = saved_paths
+def test_mapped_and_heap_results_are_identical(saved_path):
+    v2 = saved_path
     mapped = Document.load(v2, mapped=True)
     heap = Document.load(v2, mapped=False)
     for query in QUERIES:
@@ -114,8 +93,8 @@ def test_mapped_and_heap_results_are_identical(saved_paths):
     mapped.close()
 
 
-def test_stats_report_storage_mode(saved_paths):
-    _, v2 = saved_paths
+def test_stats_report_storage_mode(saved_path):
+    v2 = saved_path
     mapped = Document.load(v2, mapped=True)
     heap = Document.load(v2, mapped=False)
     ms = mapped.stats()["storage"]
@@ -128,8 +107,8 @@ def test_stats_report_storage_mode(saved_paths):
     mapped.close()
 
 
-def test_close_releases_the_mapping(saved_paths):
-    _, v2 = saved_paths
+def test_close_releases_the_mapping(saved_path):
+    v2 = saved_path
     doc = Document.load(v2, mapped=True)
     assert doc.is_mapped
     doc.close()
@@ -137,8 +116,8 @@ def test_close_releases_the_mapping(saved_paths):
     doc.close()  # idempotent
 
 
-def test_teardown_is_refcount_driven(saved_paths):
-    _, v2 = saved_paths
+def test_teardown_is_refcount_driven(saved_path):
+    v2 = saved_path
     doc = Document.load(v2, mapped=True)
     doc.count(QUERIES[0])  # exercise the engine so any cycle would form
     ref = weakref.ref(doc)
@@ -151,8 +130,8 @@ def test_teardown_is_refcount_driven(saved_paths):
 
 
 @pytest.fixture()
-def corrupted_v2(tmp_path, saved_paths):
-    _, v2 = saved_paths
+def corrupted_v2(tmp_path, saved_path):
+    v2 = saved_path
     target = tmp_path / "corrupt.sxsi"
     shutil.copy(v2, target)
     probe = Document.load(v2, mapped=True, verify="lazy")
@@ -186,8 +165,8 @@ def test_verify_off_skips_checksums(corrupted_v2):
     doc.close()
 
 
-def test_clean_file_verifies(saved_paths):
-    _, v2 = saved_paths
+def test_clean_file_verifies(saved_path):
+    v2 = saved_path
     doc = Document.load(v2, mapped=True, verify="lazy")
     assert doc.verify_integrity() > 0
     assert doc.verify_integrity() == 0  # second call has nothing left to do
@@ -260,6 +239,58 @@ def test_lru_churn_does_not_leak_fds(tmp_path, small_site_document):
             assert len(os.listdir("/proc/self/fd")) <= before + 2, "close() must drop every mapping fd"
     finally:
         resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+
+
+# -- overwrite under a live mapping -------------------------------------------------------
+
+_OVERWRITE_SCRIPT = """
+import pathlib, sys
+from repro import Document, DocumentStore
+
+root = pathlib.Path(sys.argv[1])
+store = DocumentStore(root, num_shards=1, cache_size=2)
+path = store.add("doc", Document.from_string("<r>" + "<a>x</a>" * 2000 + "</r>"))
+store.close()  # drop the built in-memory resident so get() maps the file
+old = store.get("doc")
+assert old.is_mapped
+Document.from_string("<r><a>y</a></r>").save(path)  # a much smaller file at the same path
+query = '//a[contains(., "x")]'  # reaches the text index, far past the new file's end
+assert old.count(query) == 2000, "the old handle must keep reading the old inode"
+assert store.get("doc").count(query) == 0, "stat revalidation must re-map the new file"
+assert store.get("doc").count("//a") == 1
+assert not list(root.rglob("*.tmp")), "save left a temporary file behind"
+"""
+
+
+def test_save_over_a_mapped_document_keeps_old_readers_alive(tmp_path):
+    """Runs in a subprocess: truncating the live path kills the reader with SIGBUS."""
+    import repro
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", _OVERWRITE_SCRIPT, str(tmp_path / "store")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, f"exit {done.returncode}: {done.stderr}"
+
+
+def test_failed_save_leaves_the_old_file_and_no_temporary(tmp_path, small_site_document, monkeypatch):
+    path = tmp_path / "doc.sxsi"
+    small_site_document.save(path)
+    before = path.read_bytes()
+
+    def torn_write(self, fp):
+        fp.write(b"half a file")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Document, "write", torn_write)
+    with pytest.raises(OSError, match="disk full"):
+        small_site_document.save(path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["doc.sxsi"]
 
 
 # -- fuzz oracle integration -------------------------------------------------------------
