@@ -37,6 +37,7 @@ from repro import Document, DocumentStore, IndexOptions, QueryService
 from repro.workloads import generate_xmark_xml
 
 from _bench_utils import print_table
+from check_regression import check
 
 #: First-query mix: a structural scan, a path, a text predicate.
 QUERIES = [
@@ -294,7 +295,10 @@ def test_mapped_load_and_rss(benchmark):
     _report(results)
     metrics = results["metrics"]
     assert metrics["mapped_load_speedup"] > 1.0
-    assert metrics["multiworker_rss_ratio"] <= 0.6
+    # One threshold for multiworker_rss_ratio (and every other critical metric
+    # of this module): baseline.json's, as the CI memory-gate job applies it.
+    baseline = json.loads((Path(__file__).parent / "baseline.json").read_text(encoding="utf-8"))
+    assert check(results, baseline, subset=True) == []
 
 
 # -- CLI entry point (the CI bench-smoke and memory-gate jobs) -------------------------

@@ -4,7 +4,7 @@ Run by the CI ``docs-check`` job (and runnable locally)::
 
     PYTHONPATH=src python scripts/check_docs.py
 
-Two kinds of tables are machine-checked:
+Three kinds of tables are machine-checked:
 
 * **Route tables** in ``docs/http-api.md``, marked
   ``<!-- route-table: repro-serve -->`` / ``<!-- route-table:
@@ -17,9 +17,18 @@ Two kinds of tables are machine-checked:
   column is compared against the ``argparse`` option strings of the
   matching CLI's ``build_parser()``.
 
-A route or flag present in the code but missing from the docs fails, and so
-does a documented one the code no longer has -- renames must land in both
-places in the same commit.
+* **Metrics tables** in ``docs/operations.md``, marked
+  ``<!-- metrics-table: shared -->`` / ``repro-serve`` / ``repro-coordinator``.
+  Every backticked family in a table's first column, with the type (first
+  word of the second column) and the backticked label names of the third, is
+  compared against the families a ``ReproServer`` (after one stored document
+  was loaded and verified, which registers the lazy ``storage_*`` families)
+  and a ``CoordinatorServer`` register on a fresh registry: each server's
+  families must equal the shared table plus its own.
+
+A route, flag or metric family present in the code but missing from the docs
+fails, and so does a documented one the code no longer has -- renames must
+land in both places in the same commit.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 FLAG_RE = re.compile(r"--[\w][\w-]*")
+BACKTICKED_RE = re.compile(r"`([^`]+)`")
 
 
 def extract_table(markdown: str, marker: str, path: Path) -> list[list[str]]:
@@ -66,19 +76,54 @@ def documented_flags(markdown: str, name: str, path: Path) -> set[str]:
     return flags
 
 
-def live_route_tables() -> dict[str, set[tuple[str, str]]]:
-    from repro import DocumentStore, QueryService
+def documented_metrics(markdown: str, name: str, path: Path) -> set[tuple[str, str, tuple[str, ...]]]:
+    rows = extract_table(markdown, f"<!-- metrics-table: {name} -->", path)
+    families: set[tuple[str, str, tuple[str, ...]]] = set()
+    for row in rows:
+        names = BACKTICKED_RE.findall(row[0])
+        if not names:
+            raise SystemExit(f"{path}: metrics-table {name!r} row names no family: {row[0]!r}")
+        kind, labels = row[1].split()[0], tuple(sorted(BACKTICKED_RE.findall(row[2])))
+        families.update((family, kind, labels) for family in names)
+    return families
+
+
+def live_servers() -> tuple[dict[str, set], dict[str, set]]:
+    """``(route tables, metric families)`` of both servers (never started -- no sockets).
+
+    Each server is built on its own fresh registry, so its families are the
+    ones *it* (and the layers under it) register.
+    """
+    from repro import DocumentStore, MetricsRegistry, QueryService, set_registry
     from repro.coordinator import CoordinatorServer
     from repro.server import ReproServer
 
-    with tempfile.TemporaryDirectory() as root:
-        server = ReproServer(QueryService(DocumentStore(root)))
-        serve_routes = set(server.route_table)
-    coordinator = CoordinatorServer(["n0=127.0.0.1:1"])
-    return {
-        "repro-serve": serve_routes,
-        "repro-coordinator": set(coordinator.route_table),
-    }
+    def families(registry) -> set:
+        snapshot = registry.snapshot()
+        return {
+            (name.removeprefix("repro_"), family["type"], tuple(sorted(family["labels"])))
+            for name, family in snapshot.items()
+        }
+
+    routes, metrics = {}, {}
+    previous = set_registry(MetricsRegistry())
+    try:
+        with tempfile.TemporaryDirectory() as root:
+            store = DocumentStore(root, verify="eager")
+            server = ReproServer(QueryService(store))
+            store.add_xml("doc", "<a/>")
+            store.close()  # drop the built document: the next get is a mapped, verified load
+            store.get("doc")
+            store.close()
+            routes["repro-serve"] = set(server.route_table)
+            metrics["repro-serve"] = families(server.registry)
+        set_registry(MetricsRegistry())
+        coordinator = CoordinatorServer(["n0=127.0.0.1:1"])
+        routes["repro-coordinator"] = set(coordinator.route_table)
+        metrics["repro-coordinator"] = families(coordinator.registry)
+    finally:
+        set_registry(previous)
+    return routes, metrics
 
 
 def live_flag_tables() -> dict[str, set[str]]:
@@ -115,10 +160,16 @@ def main() -> int:
     ops_text = ops_doc.read_text(encoding="utf-8")
 
     problems: list[str] = []
-    for name, live in live_route_tables().items():
+    live_routes, live_metrics = live_servers()
+    for name, live in live_routes.items():
         documented = documented_routes(api_text, name, api_doc)
         problems += diff("route", name, documented, live)
         print(f"{name}: {len(live)} routes, {len(documented)} documented")
+    shared = documented_metrics(ops_text, "shared", ops_doc)
+    for name, live in live_metrics.items():
+        documented = shared | documented_metrics(ops_text, name, ops_doc)
+        problems += diff("metric family", name, documented, live)
+        print(f"{name}: {len(live)} metric families, {len(documented)} documented")
     for name, live in live_flag_tables().items():
         documented = documented_flags(ops_text, name, ops_doc)
         problems += diff("flag", name, documented, live)

@@ -120,10 +120,15 @@ def fleet_smoke() -> None:
             )
             processes.append(coordinator)
 
+            # The coordinator starts optimistic (every node healthy) and, without
+            # the engine to import, listens before the nodes do: wait for them.
+            for port in node_ports:
+                with ReproClient("127.0.0.1", port, retries=0, timeout=10.0) as node:
+                    wait_for_health(node)
             with CoordinatorClient(
                 "127.0.0.1", coordinator_port, retries=0, timeout=10.0
             ) as client:
-                wait_for_health(client)  # "ok" only once every node probes healthy
+                wait_for_health(client)
                 for doc_id, xml in corpus.items():
                     client.put_document(doc_id, xml)
                 per_node = client.stats()["nodes"]

@@ -15,21 +15,6 @@ Quickstart
 2
 """
 
-from repro.core.document import Document
-from repro.core.errors import (
-    CorruptedFileError,
-    DocumentNotFoundError,
-    ReproError,
-    StorageError,
-    UnsupportedQueryError,
-    VersionMismatchError,
-)
-from repro.core.options import EvaluationOptions, IndexOptions
-from repro.service import PlanCache, QueryService, ServiceResult, ShardTiming
-from repro.store.document_store import DocumentFailure, DocumentStore
-from repro.xpath.engine import QueryResult
-from repro.xpath.plan import PreparedQuery, prepare_query
-
 __all__ = [
     "Document",
     "DocumentStore",
@@ -69,36 +54,55 @@ __all__ = [
 
 __version__ = "1.6.0"
 
-#: Lazily exported so ``import repro`` stays cheap: the HTTP server and client
-#: (asyncio, http.client, url parsing) only load when actually referenced, and
-#: the observability entry points resolve to :mod:`repro.obs` on first use.
+#: Every export resolves on first use, so ``import repro`` -- which any
+#: ``import repro.<subpackage>`` runs first -- loads nothing: the engine-free
+#: processes (the cluster coordinator) never import numpy or the XPath engine,
+#: and the HTTP server and client (asyncio, http.client, url parsing) only
+#: load when actually referenced.
 _LAZY_EXPORTS = {
-    "ReproServer": ("repro.server", "ReproServer"),
-    "ReproClient": ("repro.client", "ReproClient"),
-    "CoordinatorServer": ("repro.coordinator", "CoordinatorServer"),
-    "CoordinatorClient": ("repro.client", "CoordinatorClient"),
-    "Tracer": ("repro.obs", "Tracer"),
-    "get_tracer": ("repro.obs", "get_tracer"),
-    "set_tracer": ("repro.obs", "set_tracer"),
-    "configure_logging": ("repro.obs", "configure_logging"),
-    "MetricsRegistry": ("repro.obs", "MetricsRegistry"),
-    "get_registry": ("repro.obs", "get_registry"),
-    "set_registry": ("repro.obs", "set_registry"),
-    "parse_prometheus_text": ("repro.obs", "parse_prometheus_text"),
-    "WorkloadAnalytics": ("repro.obs", "WorkloadAnalytics"),
-    "get_workload": ("repro.obs", "get_workload"),
-    "set_workload": ("repro.obs", "set_workload"),
+    "Document": "repro.core.document",
+    "DocumentStore": "repro.store.document_store",
+    "DocumentFailure": "repro.store.document_store",
+    "QueryService": "repro.service",
+    "PlanCache": "repro.service",
+    "ServiceResult": "repro.service",
+    "ShardTiming": "repro.service",
+    "PreparedQuery": "repro.xpath.plan",
+    "prepare_query": "repro.xpath.plan",
+    "IndexOptions": "repro.core.options",
+    "EvaluationOptions": "repro.core.options",
+    "QueryResult": "repro.xpath.engine",
+    "ReproError": "repro.core.errors",
+    "UnsupportedQueryError": "repro.core.errors",
+    "StorageError": "repro.core.errors",
+    "CorruptedFileError": "repro.core.errors",
+    "VersionMismatchError": "repro.core.errors",
+    "DocumentNotFoundError": "repro.core.errors",
+    "ReproServer": "repro.server",
+    "ReproClient": "repro.client",
+    "CoordinatorServer": "repro.coordinator",
+    "CoordinatorClient": "repro.client",
+    "Tracer": "repro.obs",
+    "get_tracer": "repro.obs",
+    "set_tracer": "repro.obs",
+    "configure_logging": "repro.obs",
+    "MetricsRegistry": "repro.obs",
+    "get_registry": "repro.obs",
+    "set_registry": "repro.obs",
+    "parse_prometheus_text": "repro.obs",
+    "WorkloadAnalytics": "repro.obs",
+    "get_workload": "repro.obs",
+    "set_workload": "repro.obs",
 }
 
 
 def __getattr__(name: str):
-    target = _LAZY_EXPORTS.get(name)
-    if target is None:
+    module_name = _LAZY_EXPORTS.get(name)
+    if module_name is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module_name, attribute = target
     import importlib
 
-    value = getattr(importlib.import_module(module_name), attribute)
+    value = getattr(importlib.import_module(module_name), name)
     globals()[name] = value  # cache: subsequent lookups skip __getattr__
     return value
 

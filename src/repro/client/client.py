@@ -43,7 +43,8 @@ from typing import Iterable, Sequence
 from urllib.parse import quote
 
 from repro.core.options import EvaluationOptions, IndexOptions
-from repro.server.json_api import ApiError, exception_from_payload, service_result_from_json
+from repro.server.json_api import exception_from_payload, service_result_from_json
+from repro.server.protocol import ApiError
 from repro.service.query_service import ServiceResult
 
 __all__ = ["ReproClient"]

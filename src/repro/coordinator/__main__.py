@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import contextlib
-import signal
 import sys
 
 from repro.coordinator.http import CoordinatorServer
@@ -117,22 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-async def _serve(server: CoordinatorServer) -> None:
-    loop = asyncio.get_running_loop()
-    shutdown = asyncio.Event()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        with contextlib.suppress(NotImplementedError):  # e.g. non-Unix event loops
-            loop.add_signal_handler(signum, shutdown.set)
-    await server.astart()
-    _log.info("listening", url=server.url, nodes=len(server.node_names))
-    try:
-        await shutdown.wait()
-    finally:
-        _log.info("shutting down")
-        await server.aclose()
-        _log.info("shutdown complete")
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     configure_logging(level=args.log_level, json_lines=args.log_json)
@@ -157,7 +139,8 @@ def main(argv: list[str] | None = None) -> int:
         replication=server.replication,
         hedge_ms=args.hedge_ms,
     )
-    asyncio.run(_serve(server))
+    asyncio.run(server.serve_until_signalled(nodes=len(server.node_names)))
+    _log.info("shutdown complete")
     return 0
 
 

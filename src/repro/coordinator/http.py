@@ -1,11 +1,14 @@
 """The cluster coordinator: the ``repro-serve`` wire API over a fleet.
 
 :class:`CoordinatorServer` subclasses the protocol machinery of
-:class:`~repro.server.http.AsyncHttpServer` and serves the same route surface
-as a single :class:`~repro.server.ReproServer` -- so a plain
+:class:`~repro.server.protocol.AsyncHttpServer` and serves the same route
+surface as a single :class:`~repro.server.ReproServer` -- so a plain
 :class:`~repro.client.ReproClient` pointed at a coordinator works unchanged
--- but every handler is pure network fan-out (``blocking=False``: the event
-loop awaits backends, no thread pool is involved):
+-- but this module is fan-out only: every handler awaits backends on the
+event loop (no blocking route, so no thread pool exists), request parsing,
+the error envelope and the ``/v1`` body rules come from
+:mod:`repro.server.protocol`, and nothing here imports the XPath engine,
+numpy, the store or the service:
 
 * **Routing.** Document ids map to nodes through a consistent-hash
   :class:`~repro.coordinator.ring.HashRing` with a configurable replication
@@ -30,8 +33,9 @@ loop awaits backends, no thread pool is involved):
 
 Observability: ``repro_coordinator_*`` metric families on the shared
 registry (per-node request/error counters, hedge fire/win counters, a
-health-state gauge, transition counters), ``GET /v1/nodes`` for per-node
-state, and ``?node=`` proxying on the debug routes.
+health-state gauge, transition counters; fleet size and in-flight requests as
+callbacks), ``GET /v1/nodes`` for per-node state read from those same
+families, and ``?node=`` proxying on the debug routes.
 """
 
 from __future__ import annotations
@@ -48,9 +52,7 @@ from repro.coordinator.health import HealthTracker
 from repro.coordinator.merge import merge_batches, merge_results, node_failure
 from repro.coordinator.ring import HashRing
 from repro.obs.logging import get_logger
-from repro.server.http import AsyncHttpServer, Request
-from repro.server.json_api import ApiError
-from repro.server.metrics import ServerMetrics
+from repro.server.protocol import ApiError, AsyncHttpServer, Request, doc_ids_of, queries_of, query_of
 
 __all__ = ["CoordinatorServer", "parse_node_spec"]
 
@@ -103,8 +105,12 @@ class CoordinatorServer(AsyncHttpServer):
     vnodes:
         Virtual nodes per backend on the hash ring.
 
-    The remaining keyword parameters are those of :class:`AsyncHttpServer`.
+    The remaining keyword parameters (``protocol_options``) are those of
+    :class:`~repro.server.protocol.AsyncHttpServer`.
     """
+
+    # A coordinator and a node may share one process (tests, embedded use).
+    _INFLIGHT_GAUGE = "coordinator_inflight_requests"
 
     def __init__(
         self,
@@ -119,24 +125,9 @@ class CoordinatorServer(AsyncHttpServer):
         rise_after: int = 2,
         node_timeout: float = 30.0,
         vnodes: int = 64,
-        max_body_bytes: int = 32 * 1024 * 1024,
-        request_timeout: float = 60.0,
-        header_timeout: float = 30.0,
-        shutdown_grace: float = 10.0,
-        metrics: ServerMetrics | None = None,
-        slow_query_ms: float | None = None,
+        **protocol_options,
     ):
-        super().__init__(
-            host,
-            port,
-            executor_workers=1,  # handlers are async; the pool is never used
-            max_body_bytes=max_body_bytes,
-            request_timeout=request_timeout,
-            header_timeout=header_timeout,
-            shutdown_grace=shutdown_grace,
-            metrics=metrics,
-            slow_query_ms=slow_query_ms,
-        )
+        super().__init__(host, port, **protocol_options)
         if not nodes:
             raise ValueError("a coordinator needs at least one backend node")
         self._clients: dict[str, NodeClient] = {}
@@ -152,14 +143,8 @@ class CoordinatorServer(AsyncHttpServer):
         self._probe_interval = float(probe_interval)
         self._node_timeout = float(node_timeout)
         self._probe_task: asyncio.Task | None = None
-        # Plain-int per-node tallies for /v1/nodes (the registry keeps the
-        # same numbers as labelled families for /metrics).
-        self._tallies = {
-            name: {"requests": 0, "errors": 0, "hedges": 0, "hedge_wins": 0}
-            for name in self._clients
-        }
 
-        registry = self.metrics.registry
+        registry = self.registry
         self._m_requests = registry.counter(
             "coordinator_node_requests_total",
             "Requests the coordinator sent to each backend node, by route.",
@@ -192,58 +177,27 @@ class CoordinatorServer(AsyncHttpServer):
         )
         for name in self._clients:
             self._m_healthy.labels(node=name).set(1.0)
+        registry.gauge_callback(
+            "coordinator_nodes_configured", "Backend nodes configured.", lambda: len(self._clients)
+        )
+        registry.gauge_callback(
+            "coordinator_nodes_healthy",
+            "Backend nodes currently routed to.",
+            lambda: len(self._health.healthy_nodes()),
+        )
 
-        self._routes = [
-            ("GET", re.compile(r"/healthz\Z"), "/healthz", self._h_healthz, False),
-            ("GET", re.compile(r"/metrics\Z"), "/metrics", self._h_metrics, False),
-            ("GET", re.compile(r"/v1/nodes\Z"), "/v1/nodes", self._h_nodes, False),
-            ("GET", re.compile(r"/v1/debug/traces\Z"), "/v1/debug/traces", self._h_debug_traces, False),
-            (
-                "GET",
-                re.compile(r"/v1/debug/workload\Z"),
-                "/v1/debug/workload",
-                self._h_debug_workload,
-                False,
-            ),
-            ("POST", re.compile(r"/v1/query\Z"), "/v1/query", self._h_query, False),
-            ("POST", re.compile(r"/v1/query/batch\Z"), "/v1/query/batch", self._h_query_batch, False),
-            (
-                "POST",
-                re.compile(r"/v1/query/estimate\Z"),
-                "/v1/query/estimate",
-                self._h_query_estimate,
-                False,
-            ),
-            ("GET", re.compile(r"/v1/stats\Z"), "/v1/stats", self._h_stats, False),
-            (
-                "GET",
-                re.compile(r"/v1/documents/(?P<doc_id>[^/]+)/stats\Z"),
-                "/v1/documents/{id}/stats",
-                self._h_document_stats,
-                False,
-            ),
-            (
-                "PUT",
-                re.compile(r"/v1/documents/(?P<doc_id>[^/]+)\Z"),
-                "/v1/documents/{id}",
-                self._h_put_document,
-                False,
-            ),
-            (
-                "GET",
-                re.compile(r"/v1/documents/(?P<doc_id>[^/]+)\Z"),
-                "/v1/documents/{id}",
-                self._h_get_document,
-                False,
-            ),
-            (
-                "DELETE",
-                re.compile(r"/v1/documents/(?P<doc_id>[^/]+)\Z"),
-                "/v1/documents/{id}",
-                self._h_delete_document,
-                False,
-            ),
-        ]
+        self._route("GET", "/healthz", self._h_healthz)
+        self._route("GET", "/v1/nodes", self._h_nodes)
+        self._route("GET", "/v1/debug/traces", self._h_debug_traces)
+        self._route("GET", "/v1/debug/workload", self._h_debug_workload)
+        self._route("POST", "/v1/query", self._h_query)
+        self._route("POST", "/v1/query/batch", self._h_query_batch)
+        self._route("POST", "/v1/query/estimate", self._h_query_estimate)
+        self._route("GET", "/v1/stats", self._h_stats)
+        self._route("GET", "/v1/documents/{id}/stats", self._h_document_stats)
+        self._route("PUT", "/v1/documents/{id}", self._h_put_document)
+        self._route("GET", "/v1/documents/{id}", self._h_get_document)
+        self._route("DELETE", "/v1/documents/{id}", self._h_delete_document)
 
     # -- properties --------------------------------------------------------------------
 
@@ -301,19 +255,9 @@ class CoordinatorServer(AsyncHttpServer):
 
     # -- backend calls -----------------------------------------------------------------
 
-    def _forward_headers(self, request: Request) -> dict[str, str]:
-        headers = {"X-Request-Id": request.request_id}
-        client_id = request.headers.get("x-client-id")
-        if client_id:
-            headers["X-Client-Id"] = client_id
-        return headers
-
     @staticmethod
-    def _forward_path(request: Request, path: str | None = None) -> str:
-        target = path if path is not None else request.path
-        if request.query:
-            target += "?" + urlencode(request.query, doseq=True)
-        return target
+    def _forward_path(request: Request) -> str:
+        return request.path + ("?" + urlencode(request.query, doseq=True) if request.query else "")
 
     async def _call(
         self,
@@ -329,7 +273,6 @@ class CoordinatorServer(AsyncHttpServer):
     ) -> tuple[int, Any]:
         """One counted, health-feeding backend request."""
         self._m_requests.labels(node=node, route=route).inc()
-        self._tallies[node]["requests"] += 1
         try:
             status, body = await self._clients[node].request(
                 method,
@@ -337,11 +280,10 @@ class CoordinatorServer(AsyncHttpServer):
                 payload,
                 raw_body=raw_body,
                 content_type=content_type,
-                headers=self._forward_headers(request),
+                headers={"X-Request-Id": request.request_id, "X-Client-Id": request.client_id},
             )
         except NodeError as exc:
             self._m_errors.labels(node=node, reason=exc.reason).inc()
-            self._tallies[node]["errors"] += 1
             self._record_health(node, False, str(exc))
             raise
         self._record_health(node, True)
@@ -396,7 +338,6 @@ class CoordinatorServer(AsyncHttpServer):
             if as_hedge:
                 hedged.add(node)
                 self._m_hedges.labels(node=node).inc()
-                self._tallies[node]["hedges"] += 1
             coro = self._call(request, node, method, path, payload, route=route)
             tasks[asyncio.get_running_loop().create_task(coro)] = node
 
@@ -419,7 +360,6 @@ class CoordinatorServer(AsyncHttpServer):
                     else:
                         if node in hedged:
                             self._m_hedge_wins.labels(node=node).inc()
-                            self._tallies[node]["hedge_wins"] += 1
                         return node, status, body
                 if not tasks and queue:
                     launch(as_hedge=False)  # plain failover to the next replica
@@ -429,15 +369,6 @@ class CoordinatorServer(AsyncHttpServer):
                 task.cancel()
 
     # -- query fan-out -----------------------------------------------------------------
-
-    @staticmethod
-    def _parse_doc_ids(body: dict) -> list[str] | None:
-        doc_ids = body.get("doc_ids")
-        if doc_ids is None:
-            return None
-        if not isinstance(doc_ids, list) or not all(isinstance(d, str) for d in doc_ids):
-            raise ApiError(400, "doc_ids must be a list of document identifiers")
-        return doc_ids
 
     def _replicas_of(self, doc_id: str) -> list[str]:
         return self._ring.nodes_for(doc_id, self.replication)
@@ -456,7 +387,7 @@ class CoordinatorServer(AsyncHttpServer):
         return healthy, [n for n in self.node_names if n not in healthy]
 
     async def _scatter_query(
-        self, request: Request, body: dict, path: str, route: str
+        self, request: Request, body: dict, route: str
     ) -> tuple[list[tuple[str, Any]], list[dict]]:
         """Fan one query/batch body out; returns (per-node answers, failure entries).
 
@@ -465,8 +396,8 @@ class CoordinatorServer(AsyncHttpServer):
         Unrouted: every healthy node is asked once, marked-down nodes are
         reported as failure entries without being contacted.
         """
-        doc_ids = self._parse_doc_ids(body)
-        target_path = self._forward_path(request, path)
+        doc_ids = doc_ids_of(body)
+        target_path = self._forward_path(request)
         jobs: list[tuple[list[str], dict]] = []
         failures: dict[str, dict] = {}
         if doc_ids is None:
@@ -510,17 +441,11 @@ class CoordinatorServer(AsyncHttpServer):
             "degraded": bool(failures),
         }
 
-    @staticmethod
-    def _query_of(body: Any) -> str:
-        if not isinstance(body, dict) or not isinstance(body.get("query"), str):
-            raise ApiError(400, "the request body needs a 'query' string")
-        return body["query"]
-
     async def _h_query(self, request: Request, match: re.Match):
         body = request.json()
-        query = self._query_of(body)
+        query = query_of(body)
         started = time.perf_counter()
-        answers, failures = await self._scatter_query(request, body, "/v1/query", "/v1/query")
+        answers, failures = await self._scatter_query(request, body, "/v1/query")
         merged = merge_results(
             query,
             [answer for _, answer in answers],
@@ -535,13 +460,9 @@ class CoordinatorServer(AsyncHttpServer):
 
     async def _h_query_batch(self, request: Request, match: re.Match):
         body = request.json()
-        queries = body.get("queries") if isinstance(body, dict) else None
-        if not isinstance(queries, list) or not queries or not all(isinstance(q, str) for q in queries):
-            raise ApiError(400, "the request body needs a non-empty 'queries' list of strings")
+        queries = queries_of(body)
         started = time.perf_counter()
-        answers, failures = await self._scatter_query(
-            request, body, "/v1/query/batch", "/v1/query/batch"
-        )
+        answers, failures = await self._scatter_query(request, body, "/v1/query/batch")
         batches = []
         for node, answer in answers:
             results = answer.get("results") if isinstance(answer, dict) else None
@@ -561,11 +482,8 @@ class CoordinatorServer(AsyncHttpServer):
 
     async def _h_query_estimate(self, request: Request, match: re.Match):
         body = request.json()
-        if not isinstance(body, dict):
-            raise ApiError(400, "the request body must be a JSON object")
-        answers, failures = await self._scatter_query(
-            request, body, "/v1/query/estimate", "/v1/query/estimate"
-        )
+        queries_of(body, or_query=True)
+        answers, failures = await self._scatter_query(request, body, "/v1/query/estimate")
         if not answers:
             raise ApiError(503, "no backend node answered the estimate")
         total = 0.0
@@ -600,79 +518,81 @@ class CoordinatorServer(AsyncHttpServer):
 
     # -- document routes ---------------------------------------------------------------
 
-    async def _write_replicas(
-        self, request: Request, doc_id: str, method: str, *, route: str
-    ) -> tuple[list[tuple[str, int, Any]], dict[str, str]]:
-        """Send a mutation to every replica; returns (responses, transport failures)."""
-        replicas = self._replicas_of(doc_id)
-        path = self._forward_path(request)
-        raw = request.body if method == "PUT" else None
-        content_type = request.headers.get("content-type") if raw else None
-
-        async def send(node: str):
-            return await self._call(
-                request, node, method, path, route=route, raw_body=raw, content_type=content_type
-            )
-
-        outcomes = await asyncio.gather(*(send(n) for n in replicas), return_exceptions=True)
-        responses: list[tuple[str, int, Any]] = []
-        transport_failures: dict[str, str] = {}
-        for node, outcome in zip(replicas, outcomes):
+    async def _call_each(
+        self, request: Request, nodes: Sequence[str], method: str, path: str, *, route: str, **body
+    ) -> tuple[dict[str, tuple[int, Any]], dict[str, str]]:
+        """The same call to each of ``nodes`` at once: (responses, transport failures), by node."""
+        outcomes = await asyncio.gather(
+            *(self._call(request, node, method, path, route=route, **body) for node in nodes),
+            return_exceptions=True,
+        )
+        responses: dict[str, tuple[int, Any]] = {}
+        failures: dict[str, str] = {}
+        for node, outcome in zip(nodes, outcomes):
             if isinstance(outcome, NodeError):
-                transport_failures[node] = str(outcome)
+                failures[node] = str(outcome)
             elif isinstance(outcome, BaseException):
                 raise outcome
             else:
-                responses.append((node, outcome[0], outcome[1]))
-        return responses, transport_failures
+                responses[node] = outcome
+        return responses, failures
 
-    async def _h_put_document(self, request: Request, match: re.Match):
-        doc_id = match.group("doc_id")
-        responses, transport_failures = await self._write_replicas(
-            request, doc_id, "PUT", route="/v1/documents/{id}"
+    @staticmethod
+    def _per_node(nodes: Sequence[str], responses: Mapping, failures: Mapping) -> dict[str, Any]:
+        """Each node's body, or an ``{"error": ...}`` entry where it failed or answered >= 400."""
+
+        def entry(node: str):
+            if node in failures:
+                return {"error": failures[node]}
+            status, body = responses[node]
+            return body if status < 400 else {"error": f"answered {status}"}
+
+        return {node: entry(node) for node in nodes}
+
+    async def _write_replicas(self, request: Request, doc_id: str, method: str, verb: str):
+        """Send a mutation to every replica of ``doc_id``.
+
+        Returns ``(accepted [(node, body)], failed_replicas entries of the
+        unreachable ones, rejecting [(node, status)])``; raises when no replica
+        accepted -- the first backend envelope if any answered, else a 503.
+        """
+        raw = request.body if method == "PUT" else None
+        responses, unreachable = await self._call_each(
+            request,
+            self._replicas_of(doc_id),
+            method,
+            self._forward_path(request),
+            route="/v1/documents/{id}",
+            raw_body=raw,
+            content_type=request.headers.get("content-type") if raw else None,
         )
-        ok = [(node, body) for node, status, body in responses if status < 400]
-        if not ok:
-            for node, status, body in responses:
+        accepted = [(node, body) for node, (status, body) in responses.items() if status < 400]
+        if not accepted:
+            for node, (status, body) in responses.items():
                 self._raise_upstream(node, status, body, request)
             raise ApiError(
                 503,
-                f"no replica accepted document {doc_id!r}: "
-                + "; ".join(f"{n}: {m}" for n, m in transport_failures.items()),
+                f"no replica {verb} document {doc_id!r}: "
+                + "; ".join(f"{n}: {m}" for n, m in unreachable.items()),
             )
-        node, body = ok[0]
+        failed = [{"node": n, "message": m} for n, m in sorted(unreachable.items())]
+        return accepted, failed, [(n, status) for n, (status, _) in responses.items() if status >= 400]
+
+    async def _h_put_document(self, request: Request, match: re.Match):
+        doc_id = match.group("doc_id")
+        accepted, failed, rejecting = await self._write_replicas(request, doc_id, "PUT", "accepted")
+        body = accepted[0][1]
         payload = dict(body) if isinstance(body, dict) else {"doc_id": doc_id}
-        payload["replicas"] = sorted(n for n, _ in ok)
-        payload["failed_replicas"] = [
-            {"node": n, "message": m} for n, m in sorted(transport_failures.items())
-        ] + [
-            {"node": n, "message": f"answered {status}"}
-            for n, status, _ in responses
-            if status >= 400
+        payload["replicas"] = sorted(n for n, _ in accepted)
+        payload["failed_replicas"] = failed + [
+            {"node": n, "message": f"answered {status}"} for n, status in rejecting
         ]
         return 201, payload
 
     async def _h_delete_document(self, request: Request, match: re.Match):
         doc_id = match.group("doc_id")
-        responses, transport_failures = await self._write_replicas(
-            request, doc_id, "DELETE", route="/v1/documents/{id}"
-        )
-        ok = [(node, body) for node, status, body in responses if status < 400]
-        if not ok:
-            for node, status, body in responses:
-                self._raise_upstream(node, status, body, request)
-            raise ApiError(
-                503,
-                f"no replica deleted document {doc_id!r}: "
-                + "; ".join(f"{n}: {m}" for n, m in transport_failures.items()),
-            )
-        return 200, {
-            "deleted": doc_id,
-            "replicas": sorted(n for n, _ in ok),
-            "failed_replicas": [
-                {"node": n, "message": m} for n, m in sorted(transport_failures.items())
-            ],
-        }
+        accepted, failed, _ = await self._write_replicas(request, doc_id, "DELETE", "deleted")
+        return 200, {"deleted": doc_id, "replicas": sorted(n for n, _ in accepted), "failed_replicas": failed}
 
     async def _read_document(self, request: Request, doc_id: str, route: str):
         candidates = self._ordered(self._replicas_of(doc_id))
@@ -709,99 +629,80 @@ class CoordinatorServer(AsyncHttpServer):
             "nodes_healthy": len(healthy),
         }
 
-    async def _h_metrics(self, request: Request, match: re.Match):
-        gauges = {
-            "coordinator_inflight_requests": self._inflight,
-            "coordinator_nodes_configured": len(self._clients),
-            "coordinator_nodes_healthy": len(self._health.healthy_nodes()),
-        }
-        return 200, self.metrics.render(gauges)
-
     async def _h_nodes(self, request: Request, match: re.Match):
         states = self._health.snapshot()
+        # The per-node tallies *are* the ``coordinator_*`` counters, summed over their other labels.
+        tallies: dict[str, dict[str, int]] = {name: {} for name in self._clients}
+        for field, family in (
+            ("requests", self._m_requests),
+            ("errors", self._m_errors),
+            ("hedges", self._m_hedges),
+            ("hedge_wins", self._m_hedge_wins),
+        ):
+            index = family.labelnames.index("node")
+            for name in tallies:
+                tallies[name][field] = 0
+            for key, value in family.values().items():
+                if key[index] in tallies:  # another coordinator of this process may share the family
+                    tallies[key[index]][field] += value
         return 200, {
             "replication": self.replication,
             "hedge_ms": None if self._hedge_delay is None else self._hedge_delay * 1000.0,
             "probe_interval_seconds": self._probe_interval,
             "nodes": [
-                {
-                    "name": name,
-                    "url": self._clients[name].url,
-                    **states[name],
-                    **self._tallies[name],
-                }
+                {"name": name, "url": self._clients[name].url, **states[name], **tallies[name]}
                 for name in self.node_names
             ],
         }
 
     async def _h_stats(self, request: Request, match: re.Match):
-        async def fetch(name: str):
-            return await self._call(request, name, "GET", "/v1/stats", route="/v1/stats")
-
         names = self.node_names
-        outcomes = await asyncio.gather(*(fetch(n) for n in names), return_exceptions=True)
-        nodes: dict[str, Any] = {}
-        documents = 0
-        for name, outcome in zip(names, outcomes):
-            if isinstance(outcome, NodeError):
-                nodes[name] = {"error": str(outcome)}
-            elif isinstance(outcome, BaseException):
-                raise outcome
-            else:
-                status, body = outcome
-                nodes[name] = body if status < 400 else {"error": f"answered {status}"}
-                if status < 400 and isinstance(body, dict):
-                    documents += int(body.get("store", {}).get("num_documents", 0))
+        nodes = self._per_node(
+            names, *await self._call_each(request, names, "GET", "/v1/stats", route="/v1/stats")
+        )
         return 200, {
             "cluster": {
                 "nodes_configured": len(names),
                 "nodes_healthy": len(self._health.healthy_nodes()),
                 "replication": self.replication,
-                "num_documents": documents,
+                "num_documents": sum(
+                    int(body.get("store", {}).get("num_documents", 0))
+                    for body in nodes.values()
+                    if isinstance(body, dict)
+                ),
             },
             "nodes": nodes,
         }
 
-    async def _debug_proxy(self, request: Request, path: str, route: str, aggregate_key: str):
+    async def _debug_proxy(self, request: Request, route: str):
         """``?node=`` proxies one node's debug payload; without it, aggregate."""
         values = request.query.get("node")
         query_params = {k: v for k, v in request.query.items() if k != "node"}
-        suffix = "?" + urlencode(query_params, doseq=True) if query_params else ""
+        path = route + ("?" + urlencode(query_params, doseq=True) if query_params else "")
         if values:
             name = values[-1]
             if name not in self._clients:
                 raise ApiError(
                     400, f"unknown node {name!r}; configured nodes: {', '.join(self.node_names)}"
                 )
-            status, body = await self._call(request, name, "GET", path + suffix, route=route)
+            status, body = await self._call(request, name, "GET", path, route=route)
             if status >= 400:
                 self._raise_upstream(name, status, body, request)
             return 200, {"node": name, **(body if isinstance(body, dict) else {"payload": body})}
-
-        async def fetch(name: str):
-            return await self._call(request, name, "GET", path + suffix, route=route)
-
         targets, skipped = self._fanout_targets()
-        outcomes = await asyncio.gather(*(fetch(n) for n in targets), return_exceptions=True)
-        nodes: dict[str, Any] = {name: {"error": "marked down"} for name in skipped}
-        for name, outcome in zip(targets, outcomes):
-            if isinstance(outcome, NodeError):
-                nodes[name] = {"error": str(outcome)}
-            elif isinstance(outcome, BaseException):
-                raise outcome
-            else:
-                status, body = outcome
-                nodes[name] = body if status < 400 else {"error": f"answered {status}"}
+        answered = self._per_node(
+            targets, *await self._call_each(request, targets, "GET", path, route=route)
+        )
         return 200, {
-            aggregate_key: nodes,
-            "hint": f"GET {path}?node=<name> proxies one node's full payload",
+            "nodes": {**{name: {"error": "marked down"} for name in skipped}, **answered},
+            "hint": f"GET {route}?node=<name> proxies one node's full payload",
         }
 
     async def _h_debug_workload(self, request: Request, match: re.Match):
-        return await self._debug_proxy(request, "/v1/debug/workload", "/v1/debug/workload", "nodes")
+        return await self._debug_proxy(request, "/v1/debug/workload")
 
     async def _h_debug_traces(self, request: Request, match: re.Match):
-        return await self._debug_proxy(request, "/v1/debug/traces", "/v1/debug/traces", "nodes")
+        return await self._debug_proxy(request, "/v1/debug/traces")
 
     def __repr__(self) -> str:
         state = f"listening on {self.url}" if self.port is not None else "stopped"

@@ -1,16 +1,16 @@
-"""Observability: metrics, tracing, counters, workload analytics, logging.
+"""Observability: metrics, tracing, workload analytics, logging.
 
 The one layer every part of the serving stack reports into:
 
 * :mod:`repro.obs.metrics` -- the process-wide :class:`MetricsRegistry` of
   labeled counter/gauge/histogram families with Prometheus-text and JSON
-  rendering, plus the strict text-format parser the tests and the e2e smoke
-  validate ``/metrics`` with.
+  rendering -- the one place every count lives, including the
+  ``repro_engine_*`` / ``repro_planner_*`` totals folded in once per finished
+  query or built plan -- plus the strict text-format parser the tests and the
+  e2e smoke validate ``/metrics`` with.
 * :mod:`repro.obs.tracing` -- dependency-free nested spans with a global
   :class:`Tracer`, a ring buffer of finished traces, and a near-free disabled
   path (the :data:`NULL_SPAN` singleton).
-* :mod:`repro.obs.counters` -- process-wide engine totals (``repro_engine_*``
-  on ``/metrics``), folded in once per finished query.
 * :mod:`repro.obs.workload` -- per-query-shape latency/cardinality/strategy
   aggregates and the top-K slow-query table (``GET /v1/debug/workload``).
 * :mod:`repro.obs.resources` -- mapped-page residency via ``mincore`` plus
@@ -19,7 +19,6 @@ The one layer every part of the serving stack reports into:
   field passing, used for the server's access and slow-query logs.
 """
 
-from repro.obs.counters import ENGINE_COUNTERS, Counters
 from repro.obs.logging import JsonLineFormatter, KeyValueFormatter, configure_logging, get_logger
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -43,8 +42,6 @@ __all__ = [
     "get_tracer",
     "set_tracer",
     "current_span",
-    "Counters",
-    "ENGINE_COUNTERS",
     "MetricsRegistry",
     "get_registry",
     "set_registry",

@@ -1,21 +1,29 @@
 """Process-wide metrics registry: labeled counters, gauges and histograms.
 
-The dependency-free counterpart of ``prometheus_client`` every layer of the
-stack reports into.  A :class:`MetricsRegistry` holds *families* -- a metric
-name plus a fixed label schema -- and each family holds one child per label
-combination.  The store, the query service and the storage codec register
-their instruments here at import time, without knowing about the HTTP server;
-``ServerMetrics`` (:mod:`repro.server.metrics`) is a thin façade that renders
-the same registry as the ``/metrics`` page.
+The dependency-free counterpart of ``prometheus_client`` and the *only* place
+a count lives.  A :class:`MetricsRegistry` holds *families* -- a metric name
+plus a fixed label schema -- and each family holds one child per label
+combination.  The engine, the planner, the store, the query service, the
+storage codec and both HTTP front-ends report here without knowing about each
+other; ``GET /metrics`` is :meth:`MetricsRegistry.render` and nothing else.
 
-Design rules, in line with the engine-counter discipline:
+Design rules:
 
 * **Updates are cheap and thread-safe** (one small lock per family), but they
-  still belong at query/load *completion*, never inside rank/select hot loops.
-* **Scrape-time values go through callbacks**: a family registered with
+  still belong at query/plan/load *completion*, never inside rank/select hot
+  loops: the ``engine_*`` / ``planner_*`` families are folded once per
+  finished query or built plan through :func:`fold_engine_counters`.
+* **Live values go through callbacks**: a family registered with
   :meth:`MetricsRegistry.gauge_callback` / :meth:`~MetricsRegistry.counter_callback`
-  computes its value when the page renders (engine counter totals, RSS,
-  mapped-page residency), so nothing polls in the background.
+  computes its value when the page renders (in-flight requests, plan-cache
+  figures, RSS, mapped-page residency), so nothing polls in the background
+  and nothing is pushed at scrape time.
+* **Counters cross processes as deltas**: a pool worker takes
+  :meth:`MetricsRegistry.counter_values` before its batch, ships
+  :meth:`~MetricsRegistry.counter_delta` home with the results and the
+  serving process folds it with :meth:`~MetricsRegistry.merge` -- every stored
+  counter, so ``/metrics`` counts process-executor work exactly like inline
+  work.
 * **Rendering emits each family header exactly once** (``# HELP`` then
   ``# TYPE``), with label names sorted -- the strict in-repo parser
   (:func:`parse_prometheus_text`) and the e2e smoke both enforce this.
@@ -39,6 +47,9 @@ __all__ = [
     "MetricsRegistry",
     "MetricFamily",
     "DEFAULT_BUCKETS",
+    "ENGINE_FAMILIES",
+    "register_engine_metrics",
+    "fold_engine_counters",
     "get_registry",
     "set_registry",
     "parse_prometheus_text",
@@ -213,9 +224,12 @@ class MetricFamily:
         return child
 
     def _default_child(self):
-        if self.labelnames:
-            raise ValueError(f"metric {self.name!r} is labeled; use .labels(...)")
-        return self.labels()
+        child = self._children.get(())  # only a label-less family has this key
+        if child is None:
+            if self.labelnames:
+                raise ValueError(f"metric {self.name!r} is labeled; use .labels(...)")
+            child = self.labels()
+        return child
 
     # Label-less convenience: family.inc() / .set() / .observe() hit the
     # single implicit child.
@@ -233,6 +247,11 @@ class MetricFamily:
         """Current value of the label-less child (0 before any update)."""
         child = self._default_child()
         return child.value if not isinstance(child, _Histogram) else child.total
+
+    def values(self) -> dict[tuple[str, ...], float]:
+        """A counter or gauge family's current value per label-value tuple (in label order)."""
+        with self._lock:
+            return {key: child.value for key, child in self._children.items()}
 
     def _samples(self) -> list[tuple[str, dict[str, str], float]]:
         """``(sample_name, labels, value)`` rows in stable (sorted) order."""
@@ -356,6 +375,41 @@ class MetricsRegistry:
         with self._lock:
             return self._families.get(name)
 
+    # -- cross-process counter shipping ------------------------------------------------
+
+    def counter_values(self) -> dict[tuple[str, tuple[str, ...]], float]:
+        """Every stored counter child's value, keyed ``(family name, label values)``.
+
+        Callback counters are computed from live state of *this* process and
+        are not part of the snapshot.
+        """
+        with self._lock:
+            families = [f for f in self._families.values() if f.kind == "counter" and f.callback is None]
+        return {(f.name, key): value for f in families for key, value in f.values().items()}
+
+    def counter_delta(self, before: Mapping[tuple[str, tuple[str, ...]], float]) -> dict:
+        """What the stored counters accumulated since ``before`` (a :meth:`counter_values`).
+
+        The picklable wire format of cross-process shipping:
+        ``{family name: (help, label names, {label values: amount})}`` with
+        unmoved children left out.  Help and label names travel along because
+        a worker may be the first to touch a lazily registered family.
+        """
+        delta: dict[str, tuple[str, tuple[str, ...], dict[tuple[str, ...], float]]] = {}
+        for (name, key), value in self.counter_values().items():
+            amount = value - before.get((name, key), 0)
+            if amount:
+                family = self.get(name)
+                delta.setdefault(name, (family.help, family.labelnames, {}))[2][key] = amount
+        return delta
+
+    def merge(self, delta: Mapping) -> None:
+        """Add a :meth:`counter_delta` (usually another process's) to this registry."""
+        for name, (help_text, labelnames, children) in delta.items():
+            family = self.counter(name, help_text, labelnames)
+            for key, amount in children.items():
+                family.labels(**dict(zip(labelnames, key))).inc(amount)
+
     # -- rendering ---------------------------------------------------------------------
 
     def render(self) -> str:
@@ -409,6 +463,56 @@ def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
     with _REGISTRY_LOCK:
         previous, _REGISTRY = _REGISTRY, registry
     return previous
+
+
+# -- engine and planner totals -----------------------------------------------------------
+
+#: The ``engine_*`` (per evaluated query) and ``planner_*`` (per *built* plan,
+#: i.e. plan-cache miss) counter families: name -> help text.  Declared here,
+#: engine-free, so an HTTP front-end lists them from its first scrape.
+#: ``engine_kernel_batch_calls_total`` counts ``*_many`` kernel *invocations*
+#: (one ``tagged_desc_many`` over 10k nodes is one call), so it is not
+#: comparable element-for-element with the per-node totals next to it;
+#: ``planner_estimated_cost_total`` is a float (node-visit units, see
+#: :mod:`repro.xpath.cost`).
+ENGINE_FAMILIES = {
+    "engine_queries_total": "Queries evaluated by the engine.",
+    "engine_queries_top_down_total": "Queries evaluated with the top-down strategy.",
+    "engine_queries_bottom_up_total": "Queries evaluated with the bottom-up strategy.",
+    "engine_visited_nodes_total": "Tree nodes visited during evaluation.",
+    "engine_marked_nodes_total": "Nodes marked by the tree automaton.",
+    "engine_result_nodes_total": "Nodes returned as query results.",
+    "engine_jumps_total": "Tagged-descendant jumps taken instead of child walks.",
+    "engine_text_queries_total": "Text-predicate evaluations.",
+    "engine_fm_index_queries_total": "Queries that touched the FM-index.",
+    "engine_rank_calls_total": "Scalar rank operations issued by the engine.",
+    "engine_kernel_batch_calls_total": "Vectorized batch-kernel invocations.",
+    "planner_plans_total": "Query plans built (plan-cache misses).",
+    "planner_plans_bottom_up_total": "Plans that chose the bottom-up (text-seeded) strategy.",
+    "planner_plans_top_down_total": "Plans that chose the top-down automaton strategy.",
+    "planner_plans_naive_text_total": "Plans forced onto the naive text store (mixed content).",
+    "planner_wildcard_candidate_fallbacks_total": "Wildcard last steps costed via the element-count bound.",
+    "planner_estimated_cost_total": "Sum of estimated plan costs (node-visit units).",
+}
+
+
+def register_engine_metrics(registry: MetricsRegistry) -> None:
+    """Declare every :data:`ENGINE_FAMILIES` counter on ``registry`` with its zero sample."""
+    for name, help_text in ENGINE_FAMILIES.items():
+        registry.counter(name, help_text).inc(0)
+
+
+def fold_engine_counters(amounts: Mapping[str, float]) -> None:
+    """Add one finished query's or built plan's totals to the current registry.
+
+    ``amounts`` maps :data:`ENGINE_FAMILIES` names to increments.  Called once
+    per query / plan -- never from inside the succinct-structure loops.
+    """
+    registry = get_registry()
+    for name, amount in amounts.items():
+        if amount:
+            family = registry.get(name) or registry.counter(name, ENGINE_FAMILIES[name])
+            family.inc(amount)
 
 
 # -- strict text-format parser -----------------------------------------------------------

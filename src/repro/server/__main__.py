@@ -31,8 +31,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import contextlib
-import signal
 import sys
 
 from repro.obs.logging import configure_logging, get_logger
@@ -161,18 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 async def _serve(server: ReproServer) -> None:
-    loop = asyncio.get_running_loop()
-    shutdown = asyncio.Event()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        with contextlib.suppress(NotImplementedError):  # e.g. non-Unix event loops
-            loop.add_signal_handler(signum, shutdown.set)
-    await server.astart()
-    _log.info("listening", url=server.url)
     try:
-        await shutdown.wait()
+        await server.serve_until_signalled()
     finally:
-        _log.info("shutting down")
-        await server.aclose()
         server.service.close()
         server.service.store.close()
         _log.info("shutdown complete")

@@ -34,7 +34,8 @@ import threading
 import time
 from typing import Callable
 
-from repro.server.json_api import ApiError
+from repro.obs.metrics import get_registry
+from repro.server.protocol import ApiError
 
 __all__ = ["AdmissionController"]
 
@@ -79,8 +80,6 @@ class AdmissionController:
         self._inflight_cost = 0.0
         self._inflight_requests = 0
         if registry is None:
-            from repro.obs.metrics import get_registry
-
             registry = get_registry()
         self._admitted = registry.counter(
             "admission_admitted_total", "Requests admitted by the cost-based admission controller."

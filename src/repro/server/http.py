@@ -1,9 +1,9 @@
-"""A dependency-free asyncio HTTP/1.1 JSON server over :class:`QueryService`.
+"""The node: :class:`ReproServer`, the ``/v1`` handlers over a :class:`QueryService`.
 
 The network boundary of the reproduction: the whole stack -- sharded
 :class:`~repro.store.document_store.DocumentStore`, plan-cached
 :class:`~repro.service.QueryService`, per-document
-:class:`~repro.store.document_store.DocumentFailure` reporting -- behind eight
+:class:`~repro.store.document_store.DocumentFailure` reporting -- behind these
 routes:
 
 ======  ===========================  =============================================
@@ -21,584 +21,50 @@ GET     ``/healthz``                 liveness (never touches the thread pool)
 GET     ``/metrics``                 Prometheus text format
 ======  ===========================  =============================================
 
-Design notes:
+This module is handlers only.  Connections, request parsing, the error
+envelope, the ``/v1`` body rules, routing, ``http_*`` metrics, access logging
+and shutdown are :mod:`repro.server.protocol`, shared with the cluster
+coordinator; what the node adds:
 
 * **The event loop never blocks.**  Index work (loads, automaton runs, XML
-  parsing) runs on a bounded :class:`~concurrent.futures.ThreadPoolExecutor`;
-  the loop only parses HTTP and shuffles bytes, so ``/healthz`` answers in
-  microseconds while a corpus sweep is in flight -- the acceptance bar of
-  ISSUE 3 (eight concurrent clients, healthz under 100 ms).
+  parsing) is registered as *blocking* routes, which the protocol layer runs on
+  a bounded thread pool; the loop only parses HTTP and shuffles bytes, so
+  ``/healthz`` answers in microseconds while a corpus sweep is in flight --
+  the acceptance bar of ISSUE 3 (eight concurrent clients, healthz under
+  100 ms).
 * **Domain errors map to statuses** (``XPathSyntaxError`` /
   ``UnsupportedQueryError`` -> 400, ``DocumentNotFoundError`` -> 404,
-  ``CorruptedFileError`` / ``StorageError`` -> 500) with the structured JSON
-  envelope of :mod:`repro.server.json_api`; the stdlib client re-raises the
-  same exception classes.
-* **Limits**: request bodies beyond ``max_body_bytes`` are refused with 413
-  before being read; a connection that stalls between requests or mid-header
-  is closed quietly after ``header_timeout``; a body arriving slower than
-  ``request_timeout`` gets a 408; handler execution is capped by
-  ``request_timeout`` (503 -- the executor thread finishes in the background,
-  the connection does not wait for it).
-* **Graceful shutdown**: the listener closes first, idle keep-alive
-  connections are cancelled, in-flight requests get ``shutdown_grace`` seconds
-  to complete, then the pool drains.
-
-The server is asyncio-native (:meth:`ReproServer.serve_async`) with a
-synchronous facade (:meth:`start` / :meth:`stop`, also a context manager) that
-runs the loop in a daemon thread -- which is what the tests, the example and
-the benchmark use to serve and query from one process.
-
-The protocol machinery -- connection handling, request parsing, response
-writing, routing, per-route metrics and access logging, graceful shutdown,
-the sync facade -- lives in :class:`AsyncHttpServer` so other HTTP front-ends
-(the cluster coordinator in :mod:`repro.coordinator`) reuse it;
-:class:`ReproServer` adds the query/store handlers and the thread-pool bridge
-for blocking index work.
+  ``CorruptedFileError`` / ``StorageError`` -> 500,
+  :func:`~repro.server.json_api.status_of_exception`); the stdlib client
+  re-raises the same exception classes.
+* **Live values are callbacks**: the plan-cache and resident-document figures
+  are registered once on the registry and read when ``/metrics`` renders.
 """
 
 from __future__ import annotations
 
-import asyncio
-import contextvars
-import json
+import contextlib
 import re
-import threading
-import time
-import uuid
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict
 from typing import Callable
-from urllib.parse import parse_qs, unquote, urlsplit
 
-from repro.obs.logging import get_logger
 from repro.obs.resources import process_resources
 from repro.obs.tracing import get_tracer
 from repro.obs.workload import get_workload
 from repro.server.admission import AdmissionController
 from repro.server.json_api import (
-    ApiError,
-    error_payload,
     parse_evaluation_options,
     parse_index_options,
     service_result_to_json,
     status_of_exception,
 )
-from repro.server.metrics import ServerMetrics
+from repro.server.protocol import ApiError, AsyncHttpServer, Request, doc_ids_of, queries_of, query_of
 from repro.service.query_service import QueryService
 from repro.store.document_store import register_store_metrics
 
-__all__ = ["AsyncHttpServer", "ReproServer"]
+__all__ = ["ReproServer"]
 
-_log = get_logger("server.http")
-
-_REASONS = {
-    200: "OK",
-    201: "Created",
-    204: "No Content",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    408: "Request Timeout",
-    413: "Payload Too Large",
-    429: "Too Many Requests",
-    431: "Request Header Fields Too Large",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-}
-
-_MAX_HEADER_BYTES = 32 * 1024
 _DOC_ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*\Z")
-
-_TRUTHY = {"1", "true", "yes", "on"}
-
-#: Shape of an acceptable caller-supplied ``X-Request-Id`` (anything else is
-#: replaced by a generated one, so log lines and span attributes stay clean).
-_REQUEST_ID_RE = re.compile(r"[A-Za-z0-9._-]{1,128}\Z")
-
-
-def _request_id_of(headers: dict[str, str]) -> str:
-    supplied = headers.get("x-request-id", "")
-    if supplied and _REQUEST_ID_RE.match(supplied):
-        return supplied
-    return uuid.uuid4().hex
-
-
-@dataclass
-class _Request:
-    method: str
-    path: str
-    query: dict[str, list[str]]
-    headers: dict[str, str]
-    body: bytes
-    keep_alive: bool
-    request_id: str = ""
-    #: Extra key=value pairs handlers contribute to this request's access-log
-    #: line (shard count, documents answered, ...).
-    log_fields: dict = field(default_factory=dict)
-
-    def json(self):
-        try:
-            return json.loads(self.body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise ApiError(400, f"request body is not valid JSON: {exc}") from exc
-
-    def flag(self, name: str) -> bool:
-        values = self.query.get(name)
-        return bool(values) and values[-1].lower() in _TRUTHY
-
-
-class _HttpError(Exception):
-    """A protocol-level rejection (before routing); closes the connection."""
-
-    def __init__(self, status: int, message: str, reason: str):
-        super().__init__(message)
-        self.status = status
-        self.reason = reason
-
-
-class _Connection:
-    __slots__ = ("task", "busy")
-
-    def __init__(self, task: asyncio.Task):
-        self.task = task
-        self.busy = False
-
-
-class AsyncHttpServer:
-    """The reusable asyncio HTTP/1.1 + JSON protocol front-end.
-
-    Owns everything below the handlers: the listener lifecycle (async and the
-    loop-in-a-daemon-thread sync facade), connection handling with keep-alive
-    and limits, request parsing, structured error responses, routing with
-    per-route-pattern metrics and access logging, the thread-pool bridge for
-    blocking handlers, and graceful shutdown.  Subclasses populate
-    :attr:`_routes` with ``(method, pattern, label, handler, blocking)``
-    tuples -- blocking handlers run on the executor, non-blocking ones
-    (``async def``) on the loop.
-
-    Parameters
-    ----------
-    host, port:
-        Bind address.  ``port=0`` picks a free port (read :attr:`port` after
-        start -- this is what the tests and the benchmark do).
-    executor_workers:
-        Threads bridging blocking handlers off the event loop.  This bounds
-        *concurrent requests in progress*, not connections.
-    max_body_bytes:
-        Request bodies larger than this are refused with 413.
-    request_timeout:
-        Seconds a single handler may run before the client gets a 503.
-    header_timeout:
-        Seconds an idle connection may sit between requests.
-    shutdown_grace:
-        Seconds in-flight requests get to finish during shutdown.
-    slow_query_ms:
-        When set, any request slower than this logs a WARNING with its
-        request id, route and duration (the slow-query log).
-    """
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        executor_workers: int = 8,
-        max_body_bytes: int = 32 * 1024 * 1024,
-        request_timeout: float = 60.0,
-        header_timeout: float = 30.0,
-        shutdown_grace: float = 10.0,
-        metrics: ServerMetrics | None = None,
-        slow_query_ms: float | None = None,
-    ):
-        if executor_workers < 1:
-            raise ValueError("executor_workers must be at least 1")
-        self._host = host
-        self._requested_port = int(port)
-        self.port: int | None = None
-        self._executor_workers = int(executor_workers)
-        self._max_body_bytes = int(max_body_bytes)
-        self._request_timeout = float(request_timeout)
-        self._header_timeout = float(header_timeout)
-        self._shutdown_grace = float(shutdown_grace)
-        self._slow_query_ms = float(slow_query_ms) if slow_query_ms is not None else None
-        self.metrics = metrics if metrics is not None else ServerMetrics()
-
-        self._server: asyncio.base_events.Server | None = None
-        self._executor: ThreadPoolExecutor | None = None
-        self._connections: set[_Connection] = set()
-        self._closing = False
-        self._inflight = 0
-        self._started_at: float | None = None
-
-        # Sync facade state (loop-in-a-thread).
-        self._thread: threading.Thread | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread_ready: threading.Event | None = None
-        self._thread_error: BaseException | None = None
-
-        # (method, pattern, route label, handler, blocking?) -- the label is
-        # what /metrics reports, so document ids never explode cardinality.
-        self._routes: list[tuple[str, re.Pattern, str, Callable, bool]] = []
-
-    # -- properties --------------------------------------------------------------------
-
-    @property
-    def route_table(self) -> list[tuple[str, str]]:
-        """``(method, route label)`` pairs of the registered routes.
-
-        The labels are the patterns ``/metrics`` reports requests under (and
-        the ones ``docs/http-api.md`` documents -- ``scripts/check_docs.py``
-        diffs the two).
-        """
-        return [(method, label) for method, _, label, _, _ in self._routes]
-
-    @property
-    def uptime_seconds(self) -> float:
-        """Seconds since the listener bound (0 before start)."""
-        return 0.0 if self._started_at is None else time.monotonic() - self._started_at
-
-    @property
-    def address(self) -> tuple[str, int]:
-        """``(host, port)`` once started."""
-        if self.port is None:
-            raise RuntimeError("the server is not started")
-        return (self._host, self.port)
-
-    @property
-    def url(self) -> str:
-        """Base URL once started (``http://host:port``)."""
-        host, port = self.address
-        return f"http://{host}:{port}"
-
-    # -- async lifecycle ---------------------------------------------------------------
-
-    async def astart(self) -> None:
-        """Bind the listener and start accepting connections."""
-        if self._server is not None:
-            raise RuntimeError("the server is already started")
-        self._closing = False
-        self._executor = ThreadPoolExecutor(
-            max_workers=self._executor_workers, thread_name_prefix="repro-http"
-        )
-        self._server = await asyncio.start_server(
-            self._on_connection, self._host, self._requested_port, limit=_MAX_HEADER_BYTES
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._started_at = time.monotonic()
-
-    async def aclose(self) -> None:
-        """Graceful shutdown: stop accepting, drain in-flight work, free the pool."""
-        if self._server is None:
-            return
-        self._closing = True
-        self._server.close()
-        # Idle keep-alive connections are parked in a header read; cancel them
-        # now, let busy ones finish their current request within the grace.
-        for connection in list(self._connections):
-            if not connection.busy:
-                connection.task.cancel()
-        pending = {c.task for c in self._connections}
-        if pending:
-            _, still_running = await asyncio.wait(pending, timeout=self._shutdown_grace)
-            for task in still_running:
-                task.cancel()
-            if still_running:
-                await asyncio.wait(still_running, timeout=1.0)
-        await self._server.wait_closed()
-        self._server = None
-        self.port = None
-        executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
-
-    async def serve_async(self, shutdown: asyncio.Event | None = None) -> None:
-        """Start, serve until ``shutdown`` is set (or forever), then close."""
-        await self.astart()
-        try:
-            if shutdown is None:
-                await asyncio.Event().wait()
-            else:
-                await shutdown.wait()
-        finally:
-            await self.aclose()
-
-    # -- sync facade (loop in a daemon thread) -----------------------------------------
-
-    def start(self) -> "AsyncHttpServer":
-        """Run the server on a private event loop in a daemon thread."""
-        if self._thread is not None:
-            raise RuntimeError("the server is already started")
-        self._thread_ready = threading.Event()
-        self._thread_error = None
-        self._thread = threading.Thread(target=self._thread_main, name="repro-server", daemon=True)
-        self._thread.start()
-        self._thread_ready.wait()
-        if self._thread_error is not None:
-            error, self._thread_error = self._thread_error, None
-            self._thread.join()
-            self._thread = None
-            raise error
-        return self
-
-    def _thread_main(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            try:
-                loop.run_until_complete(self.astart())
-            except BaseException as exc:  # surface bind errors in start()
-                self._thread_error = exc
-                return
-            finally:
-                self._thread_ready.set()
-            loop.run_forever()
-            loop.run_until_complete(self.aclose())
-        finally:
-            self._thread_ready.set()
-            asyncio.set_event_loop(None)
-            self._loop = None
-            loop.close()
-
-    def stop(self) -> None:
-        """Stop the thread started by :meth:`start` (graceful; idempotent)."""
-        thread, loop = self._thread, self._loop
-        if thread is None:
-            return
-        if loop is not None:
-            loop.call_soon_threadsafe(loop.stop)
-        thread.join()
-        self._thread = None
-
-    def __enter__(self) -> "AsyncHttpServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    # -- connection handling -----------------------------------------------------------
-
-    async def _on_connection(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        connection = _Connection(asyncio.current_task())
-        self._connections.add(connection)
-        try:
-            while not self._closing:
-                try:
-                    request = await self._read_request(reader, connection)
-                except _HttpError as exc:
-                    self.metrics.observe_rejection(exc.reason)
-                    await self._write_response(
-                        writer,
-                        exc.status,
-                        error_payload(ApiError(exc.status, str(exc)), exc.status),
-                        keep_alive=False,
-                    )
-                    break
-                if request is None:
-                    break
-                status, payload, content_type = await self._dispatch(request)
-                keep_alive = request.keep_alive and not self._closing
-                await self._write_response(
-                    writer,
-                    status,
-                    payload,
-                    keep_alive=keep_alive,
-                    content_type=content_type,
-                    extra_headers={"X-Request-Id": request.request_id},
-                )
-                connection.busy = False
-                if not keep_alive:
-                    break
-        except (asyncio.CancelledError, ConnectionError):
-            pass
-        finally:
-            self._connections.discard(connection)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
-                pass
-
-    async def _read_request(
-        self, reader: asyncio.StreamReader, connection: _Connection
-    ) -> _Request | None:
-        """Parse one request; ``None`` on clean EOF between requests."""
-        try:
-            header_blob = await asyncio.wait_for(
-                reader.readuntil(b"\r\n\r\n"), timeout=self._header_timeout
-            )
-        except asyncio.IncompleteReadError as exc:
-            if not exc.partial:
-                return None
-            raise _HttpError(400, "truncated request head", "truncated") from exc
-        except asyncio.LimitOverrunError as exc:
-            raise _HttpError(431, "request head too large", "oversized_header") from exc
-        except asyncio.TimeoutError:
-            return None  # idle keep-alive connection; close quietly
-        connection.busy = True
-
-        try:
-            head = header_blob.decode("latin-1")
-            request_line, *header_lines = head.split("\r\n")
-            method, target, version = request_line.split(" ", 2)
-        except ValueError as exc:
-            raise _HttpError(400, "malformed request line", "malformed") from exc
-        headers: dict[str, str] = {}
-        for line in header_lines:
-            if not line:
-                continue
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-
-        if headers.get("transfer-encoding"):
-            raise _HttpError(400, "chunked request bodies are not supported", "chunked")
-        try:
-            content_length = int(headers.get("content-length", "0"))
-        except ValueError as exc:
-            raise _HttpError(400, "invalid Content-Length", "malformed") from exc
-        if content_length < 0:
-            raise _HttpError(400, "invalid Content-Length", "malformed")
-        if content_length > self._max_body_bytes:
-            raise _HttpError(
-                413,
-                f"request body of {content_length} bytes exceeds the limit of "
-                f"{self._max_body_bytes} bytes",
-                "oversized_body",
-            )
-        body = b""
-        if content_length:
-            try:
-                body = await asyncio.wait_for(
-                    reader.readexactly(content_length), timeout=self._request_timeout
-                )
-            except asyncio.IncompleteReadError as exc:
-                raise _HttpError(400, "truncated request body", "truncated") from exc
-            except asyncio.TimeoutError as exc:
-                raise _HttpError(408, "timed out reading the request body", "slow_body") from exc
-
-        parts = urlsplit(target)
-        keep_alive = headers.get("connection", "").lower() != "close" and version != "HTTP/1.0"
-        return _Request(
-            method=method.upper(),
-            path=unquote(parts.path),
-            query=parse_qs(parts.query),
-            headers=headers,
-            body=body,
-            keep_alive=keep_alive,
-            request_id=_request_id_of(headers),
-        )
-
-    async def _write_response(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload,
-        *,
-        keep_alive: bool,
-        content_type: str = "application/json",
-        extra_headers: dict[str, str] | None = None,
-    ) -> None:
-        if isinstance(payload, (bytes, str)):
-            body = payload.encode("utf-8") if isinstance(payload, str) else payload
-        else:
-            body = (json.dumps(payload) + "\n").encode("utf-8")
-        reason = _REASONS.get(status, "Unknown")
-        extras = "".join(f"{name}: {value}\r\n" for name, value in (extra_headers or {}).items())
-        head = (
-            f"HTTP/1.1 {status} {reason}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"{extras}"
-            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
-            "\r\n"
-        )
-        writer.write(head.encode("latin-1") + body)
-        await writer.drain()
-
-    # -- routing and execution ---------------------------------------------------------
-
-    async def _dispatch(self, request: _Request) -> tuple[int, object, str]:
-        """Route, execute and time one request; returns (status, payload, content type)."""
-        started = time.perf_counter()
-        route_label = "unmatched"  # replaced by the route pattern on a match
-        content_type = "application/json"
-        allowed: list[str] = []
-        try:
-            for method, pattern, label, handler, blocking in self._routes:
-                match = pattern.fullmatch(request.path)
-                if match is None:
-                    continue
-                if method != request.method:
-                    allowed.append(method)
-                    continue
-                route_label = label
-                self._inflight += 1
-                try:
-                    with get_tracer().span(
-                        "http.request",
-                        request_id=request.request_id,
-                        route=route_label,
-                        method=request.method,
-                    ) as span:
-                        if blocking:
-                            status, payload = await self._run_blocking(handler, request, match)
-                        else:
-                            status, payload = await handler(request, match)
-                        span.set_attribute("status", status)
-                finally:
-                    self._inflight -= 1
-                if isinstance(payload, (bytes, str)):
-                    content_type = "text/plain; version=0.0.4; charset=utf-8"
-                return self._observed(route_label, request, status, started, payload, content_type)
-            if allowed:
-                raise ApiError(
-                    405, f"{request.method} is not allowed on {request.path} (try {', '.join(allowed)})"
-                )
-            raise ApiError(404, f"no route for {request.method} {request.path}")
-        except Exception as exc:  # every error leaves as a structured envelope
-            status = status_of_exception(exc)
-            payload = error_payload(exc, status, request_id=request.request_id)
-            return self._observed(route_label, request, status, started, payload, "application/json")
-
-    def _observed(self, route, request, status, started, payload, content_type):
-        seconds = time.perf_counter() - started
-        self.metrics.observe_request(route, request.method, status, seconds)
-        duration_ms = round(seconds * 1000, 3)
-        fields = {
-            "request_id": request.request_id,
-            "route": route,
-            "method": request.method,
-            "status": status,
-            "duration_ms": duration_ms,
-            **request.log_fields,
-        }
-        _log.info("request", **fields)
-        if self._slow_query_ms is not None and duration_ms >= self._slow_query_ms:
-            _log.warning("slow query", threshold_ms=self._slow_query_ms, **fields)
-        return status, payload, content_type
-
-    async def _run_blocking(self, handler, request: _Request, match: re.Match):
-        """Run a blocking handler on the pool, capped by ``request_timeout``.
-
-        The handler runs under a copy of this task's context, so the ambient
-        ``http.request`` span (a contextvar) stays current inside the worker
-        thread and handler-side spans nest under it.
-        """
-        if self._executor is None:
-            raise ApiError(503, "the server is shutting down")
-        loop = asyncio.get_running_loop()
-        context = contextvars.copy_context()
-        future = loop.run_in_executor(self._executor, lambda: context.run(handler, request, match))
-        try:
-            return await asyncio.wait_for(future, timeout=self._request_timeout)
-        except asyncio.TimeoutError:
-            # The worker thread cannot be interrupted; it finishes in the
-            # background while the client gets a timely structured failure.
-            raise ApiError(503, f"request timed out after {self._request_timeout:g}s") from None
-
-    def __repr__(self) -> str:
-        state = f"listening on {self.url}" if self.port is not None else "stopped"
-        return f"{type(self).__name__}({state})"
 
 
 class ReproServer(AsyncHttpServer):
@@ -617,9 +83,10 @@ class ReproServer(AsyncHttpServer):
         hint before a sweep starts.  Defaults to a disabled controller that
         admits everything.
 
-    The remaining parameters are those of :class:`AsyncHttpServer`.
-    ``executor_workers`` bounds the threads bridging blocking *index* work
-    (loads, automaton runs, XML parsing) off the event loop.
+    The remaining keyword parameters (``protocol_options``) are those of
+    :class:`~repro.server.protocol.AsyncHttpServer`; its ``executor_workers``
+    bounds the threads bridging blocking *index* work (loads, automaton runs,
+    XML parsing) off the event loop.
     """
 
     def __init__(
@@ -628,81 +95,51 @@ class ReproServer(AsyncHttpServer):
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        executor_workers: int = 8,
-        max_body_bytes: int = 32 * 1024 * 1024,
-        request_timeout: float = 60.0,
-        header_timeout: float = 30.0,
-        shutdown_grace: float = 10.0,
-        metrics: ServerMetrics | None = None,
-        slow_query_ms: float | None = None,
         admission: AdmissionController | None = None,
+        **protocol_options,
     ):
-        super().__init__(
-            host,
-            port,
-            executor_workers=executor_workers,
-            max_body_bytes=max_body_bytes,
-            request_timeout=request_timeout,
-            header_timeout=header_timeout,
-            shutdown_grace=shutdown_grace,
-            metrics=metrics,
-            slow_query_ms=slow_query_ms,
-        )
+        super().__init__(host, port, **protocol_options)
         self._service = service
         self.admission = admission if admission is not None else AdmissionController()
-        # Bind the serving store to the store_mapped_* residency gauges
-        # (callback families; the most recently bound store wins).
-        register_store_metrics(service.store, self.metrics.registry)
-        self._routes = [
-            ("GET", re.compile(r"/healthz\Z"), "/healthz", self._h_healthz, False),
-            ("GET", re.compile(r"/metrics\Z"), "/metrics", self._h_metrics, False),
-            ("GET", re.compile(r"/v1/debug/traces\Z"), "/v1/debug/traces", self._h_debug_traces, False),
-            (
-                "GET",
-                re.compile(r"/v1/debug/workload\Z"),
-                "/v1/debug/workload",
-                self._h_debug_workload,
-                False,
-            ),
-            ("POST", re.compile(r"/v1/query\Z"), "/v1/query", self._h_query, True),
-            ("POST", re.compile(r"/v1/query/batch\Z"), "/v1/query/batch", self._h_query_batch, True),
-            (
-                "POST",
-                re.compile(r"/v1/query/estimate\Z"),
-                "/v1/query/estimate",
-                self._h_query_estimate,
-                True,
-            ),
-            ("GET", re.compile(r"/v1/stats\Z"), "/v1/stats", self._h_stats, True),
-            (
-                "GET",
-                re.compile(r"/v1/documents/(?P<doc_id>[^/]+)/stats\Z"),
-                "/v1/documents/{id}/stats",
-                self._h_document_stats,
-                True,
-            ),
-            (
-                "PUT",
-                re.compile(r"/v1/documents/(?P<doc_id>[^/]+)\Z"),
-                "/v1/documents/{id}",
-                self._h_put_document,
-                True,
-            ),
-            (
-                "GET",
-                re.compile(r"/v1/documents/(?P<doc_id>[^/]+)\Z"),
-                "/v1/documents/{id}",
-                self._h_get_document,
-                True,
-            ),
-            (
-                "DELETE",
-                re.compile(r"/v1/documents/(?P<doc_id>[^/]+)\Z"),
-                "/v1/documents/{id}",
-                self._h_delete_document,
-                True,
-            ),
-        ]
+        # Live values: callback families read when /metrics renders (the most
+        # recently constructed server's service and store win).
+        registry = self.registry
+        register_store_metrics(service.store, registry)  # the store_mapped_* residency gauges
+        plans, store = service.plan_cache, service.store
+
+        def hit_ratio() -> float:
+            lookups = plans.hits + plans.misses
+            return plans.hits / lookups if lookups else 0.0
+
+        registry.counter_callback("plan_cache_hits_total", "Compiled-plan cache hits.", lambda: plans.hits)
+        registry.counter_callback(
+            "plan_cache_misses_total", "Compiled-plan cache misses.", lambda: plans.misses
+        )
+        registry.gauge_callback(
+            "plan_cache_hit_ratio", "Compiled-plan cache hit ratio since start.", hit_ratio
+        )
+        registry.gauge_callback(
+            "plan_cache_entries", "Compiled plans currently cached.", lambda: len(plans)
+        )
+        registry.gauge_callback(
+            "store_cache_resident_documents",
+            "Documents resident in the store LRU.",
+            lambda: store.cache_info()["resident"],
+        )
+
+        self._route("GET", "/healthz", self._h_healthz)
+        self._route("GET", "/v1/debug/traces", self._h_debug_traces)
+        self._route("GET", "/v1/debug/workload", self._h_debug_workload)
+        self._route("POST", "/v1/query", self._h_query, blocking=True)
+        self._route("POST", "/v1/query/batch", self._h_query_batch, blocking=True)
+        self._route("POST", "/v1/query/estimate", self._h_query_estimate, blocking=True)
+        self._route("GET", "/v1/stats", self._h_stats, blocking=True)
+        self._route("GET", "/v1/documents/{id}/stats", self._h_document_stats, blocking=True)
+        self._route("PUT", "/v1/documents/{id}", self._h_put_document, blocking=True)
+        self._route("GET", "/v1/documents/{id}", self._h_get_document, blocking=True)
+        self._route("DELETE", "/v1/documents/{id}", self._h_delete_document, blocking=True)
+
+    _status_of = staticmethod(status_of_exception)
 
     @property
     def service(self) -> QueryService:
@@ -722,15 +159,8 @@ class ReproServer(AsyncHttpServer):
 
     @staticmethod
     def _query_params(body: dict) -> dict:
-        if not isinstance(body, dict):
-            raise ApiError(400, "the request body must be a JSON object")
-        doc_ids = body.get("doc_ids")
-        if doc_ids is not None and (
-            not isinstance(doc_ids, list) or not all(isinstance(d, str) for d in doc_ids)
-        ):
-            raise ApiError(400, "doc_ids must be a list of document identifiers")
         return {
-            "doc_ids": doc_ids,
+            "doc_ids": doc_ids_of(body),
             "want_nodes": bool(body.get("want_nodes", False)),
             "options": parse_evaluation_options(body.get("options")),
         }
@@ -747,14 +177,7 @@ class ReproServer(AsyncHttpServer):
         """
         self._service.plan_cache.get(query).bind(())
 
-    def _client_id(self, request: _Request) -> str:
-        """The admission-control identity: a well-formed ``X-Client-Id`` or ``anonymous``."""
-        supplied = request.headers.get("x-client-id", "")
-        if supplied and _REQUEST_ID_RE.match(supplied):
-            return supplied
-        return "anonymous"
-
-    def _admit(self, request: _Request, queries: list[str], params: dict) -> Callable[[], None]:
+    def _admit(self, request: Request, queries: list[str], params: dict) -> Callable[[], None]:
         """Price the request and pass it through admission control.
 
         Returns the release callable (a no-op when no limit is configured --
@@ -769,145 +192,71 @@ class ReproServer(AsyncHttpServer):
         )
         cost = float(estimate["total_cost"])
         request.log_fields["estimated_cost"] = round(cost, 3)
-        return self.admission.admit(self._client_id(request), cost)
+        return self.admission.admit(request.client_id, cost)
 
     # -- handlers (async = on the loop, others on the thread pool) ---------------------
 
-    async def _h_healthz(self, request: _Request, match: re.Match):
+    async def _h_healthz(self, request: Request, match: re.Match):
         return 200, {"status": "ok", "uptime_seconds": round(self.uptime_seconds, 3)}
 
-    async def _h_metrics(self, request: _Request, match: re.Match):
-        info = self._service.cache_info()
-        plan = info["plan_cache"]
-        plan_lookups = plan["hits"] + plan["misses"]
-        # Store hit/miss/eviction/remap counts are registry counters owned by
-        # the store layer now; only live occupancy stays a gauge here.
-        gauges = {
-            "inflight_requests": self._inflight,
-            "plan_cache_hits_total": plan["hits"],
-            "plan_cache_misses_total": plan["misses"],
-            "plan_cache_hit_ratio": plan["hits"] / plan_lookups if plan_lookups else 0.0,
-            "plan_cache_entries": plan["entries"],
-            "store_cache_resident_documents": info["store_cache"]["resident"],
-        }
-        return 200, self.metrics.render(gauges)
-
-    async def _h_debug_traces(self, request: _Request, match: re.Match):
+    async def _h_debug_traces(self, request: Request, match: re.Match):
         tracer = get_tracer()
-        limit = None
-        values = request.query.get("limit")
-        if values:
-            try:
-                limit = max(0, int(values[-1]))
-            except ValueError as exc:
-                raise ApiError(400, f"limit must be an integer, not {values[-1]!r}") from exc
-        return 200, {**tracer.info(), "traces": tracer.traces(limit)}
+        return 200, {**tracer.info(), "traces": tracer.traces(request.limit())}
 
-    async def _h_debug_workload(self, request: _Request, match: re.Match):
-        workload = get_workload()
-        limit = None
-        values = request.query.get("limit")
-        if values:
-            try:
-                limit = max(0, int(values[-1]))
-            except ValueError as exc:
-                raise ApiError(400, f"limit must be an integer, not {values[-1]!r}") from exc
-        return 200, workload.snapshot(limit)
+    async def _h_debug_workload(self, request: Request, match: re.Match):
+        return 200, get_workload().snapshot(request.limit())
 
-    @staticmethod
-    def _wants_explain(request: _Request, body) -> bool:
-        return (isinstance(body, dict) and bool(body.get("explain", False))) or request.flag("explain")
-
-    def _h_query(self, request: _Request, match: re.Match):
-        body = request.json()
-        query = body.get("query") if isinstance(body, dict) else None
-        if not isinstance(query, str):
-            raise ApiError(400, "the request body needs a 'query' string")
-        self._validate_query(query)
-        explain = self._wants_explain(request, body)
-        params = self._query_params(body)
-        release = self._admit(request, [query], params)
-        try:
-            if explain:
-                # Force a span tree for the response even when tracing is off
-                # globally; with tracing on, this nests under ``http.request``.
-                root = get_tracer().span(
-                    "explain", force=True, request_id=request.request_id, query=query
-                )
-                with root:
-                    result = self._service.run(
-                        query, explain=True, request_id=request.request_id, **params
-                    )
-                trace = root.to_dict()
-            else:
-                result = self._service.run(query, request_id=request.request_id, **params)
-                trace = None
-        finally:
-            release()
-        request.log_fields["shards"] = len(result.shard_timings)
-        request.log_fields["documents"] = result.num_documents
-        payload = service_result_to_json(result)
-        payload["request_id"] = request.request_id
-        if explain:
-            payload["explain"] = {**(result.explain or {}), "trace": trace}
-        return 200, payload
-
-    def _h_query_batch(self, request: _Request, match: re.Match):
-        body = request.json()
-        queries = body.get("queries") if isinstance(body, dict) else None
-        if (
-            not isinstance(queries, list)
-            or not queries
-            or not all(isinstance(q, str) for q in queries)
-        ):
-            raise ApiError(400, "the request body needs a non-empty 'queries' list of strings")
+    def _sweep(self, request: Request, body, queries: list[str], **explain_attributes):
+        """Validate, admit and run ``queries`` as one sweep; ``(results, explain trace or None)``."""
         for query in queries:
             self._validate_query(query)
-        explain = self._wants_explain(request, body)
+        explain = request.wants_explain(body)
         params = self._query_params(body)
         release = self._admit(request, queries, params)
         try:
-            if explain:
-                root = get_tracer().span(
-                    "explain", force=True, request_id=request.request_id, num_queries=len(queries)
+            # With explain, force a span tree for the response even when tracing
+            # is off globally; with tracing on, it nests under ``http.request``.
+            root = (
+                get_tracer().span("explain", force=True, request_id=request.request_id, **explain_attributes)
+                if explain
+                else contextlib.nullcontext()
+            )
+            with root:
+                results = self._service.run_many(
+                    queries, explain=explain, request_id=request.request_id, **params
                 )
-                with root:
-                    results = self._service.run_many(
-                        queries, explain=True, request_id=request.request_id, **params
-                    )
-                trace = root.to_dict()
-            else:
-                results = self._service.run_many(queries, request_id=request.request_id, **params)
-                trace = None
         finally:
             release()
-        if results:
-            request.log_fields["shards"] = len(results[0].shard_timings)
+        request.log_fields["shards"] = len(results[0].shard_timings)
+        return results, root.to_dict() if explain else None
+
+    def _h_query(self, request: Request, match: re.Match):
+        body = request.json()
+        query = query_of(body)
+        (result,), trace = self._sweep(request, body, [query], query=query)
+        request.log_fields["documents"] = result.num_documents
+        payload = service_result_to_json(result)
+        payload["request_id"] = request.request_id
+        if trace is not None:
+            payload["explain"] = {**(result.explain or {}), "trace": trace}
+        return 200, payload
+
+    def _h_query_batch(self, request: Request, match: re.Match):
+        body = request.json()
+        queries = queries_of(body)
+        results, trace = self._sweep(request, body, queries, num_queries=len(queries))
         payload = {
             "results": [service_result_to_json(result) for result in results],
             "request_id": request.request_id,
         }
-        if explain:
+        if trace is not None:
             payload["trace"] = trace
         return 200, payload
 
-    def _h_query_estimate(self, request: _Request, match: re.Match):
+    def _h_query_estimate(self, request: Request, match: re.Match):
         """Pre-flight cost estimate: plan only, no evaluation, no admission charge."""
         body = request.json()
-        if not isinstance(body, dict):
-            raise ApiError(400, "the request body must be a JSON object")
-        queries = body.get("queries")
-        if queries is None:
-            query = body.get("query")
-            if not isinstance(query, str):
-                raise ApiError(400, "the request body needs a 'query' string or a 'queries' list")
-            queries = [query]
-        if (
-            not isinstance(queries, list)
-            or not queries
-            or not all(isinstance(q, str) for q in queries)
-        ):
-            raise ApiError(400, "'queries' must be a non-empty list of strings")
+        queries = queries_of(body, or_query=True)
         for query in queries:
             self._validate_query(query)
         params = self._query_params(body)
@@ -921,7 +270,7 @@ class ReproServer(AsyncHttpServer):
             "admission": self.admission.describe(cost=float(estimate["total_cost"])),
         }
 
-    def _h_put_document(self, request: _Request, match: re.Match):
+    def _h_put_document(self, request: Request, match: re.Match):
         doc_id = self._doc_id(match)
         store = self._service.store
         content_type = request.headers.get("content-type", "").split(";")[0].strip().lower()
@@ -947,12 +296,10 @@ class ReproServer(AsyncHttpServer):
             "num_texts": document.num_texts,
         }
 
-    def _h_get_document(self, request: _Request, match: re.Match):
+    def _h_get_document(self, request: Request, match: re.Match):
         doc_id = self._doc_id(match)
         store = self._service.store
         document = store.get(doc_id)
-        from dataclasses import asdict
-
         return 200, {
             "doc_id": doc_id,
             "shard": store.shard_of(doc_id),
@@ -962,17 +309,17 @@ class ReproServer(AsyncHttpServer):
             "options": asdict(document.options),
         }
 
-    def _h_document_stats(self, request: _Request, match: re.Match):
+    def _h_document_stats(self, request: Request, match: re.Match):
         doc_id = self._doc_id(match)
         stats = self._service.store.get(doc_id).stats()
         return 200, {"doc_id": doc_id, **stats}
 
-    def _h_delete_document(self, request: _Request, match: re.Match):
+    def _h_delete_document(self, request: Request, match: re.Match):
         doc_id = self._doc_id(match)
         self._service.store.remove(doc_id)
         return 200, {"deleted": doc_id}
 
-    def _h_stats(self, request: _Request, match: re.Match):
+    def _h_stats(self, request: Request, match: re.Match):
         return 200, {
             "store": self._service.store.stats(),
             "service": self._service.cache_info(),
@@ -982,8 +329,3 @@ class ReproServer(AsyncHttpServer):
     def __repr__(self) -> str:
         state = f"listening on {self.url}" if self.port is not None else "stopped"
         return f"ReproServer({state}, service={self._service!r})"
-
-
-# The coordinator front-end builds on the same machinery; keep the request
-# dataclass importable for it without making it public API.
-Request = _Request

@@ -1,14 +1,15 @@
-"""The JSON wire schema shared by :mod:`repro.server` and :mod:`repro.client`.
+"""The node's half of the JSON wire schema, shared with :mod:`repro.client`.
 
-One module owns both directions of every payload -- options parsing, result
-serialisation, and the structured error envelope -- so the server and the
-stdlib client cannot drift apart:
+One module owns both directions of every payload that needs the engine's
+types -- options parsing, result serialisation, the domain-exception table --
+so the server and the stdlib client cannot drift apart (the engine-free half,
+:class:`~repro.server.protocol.ApiError` and the error envelope itself, is
+:mod:`repro.server.protocol`):
 
-* domain errors travel as ``{"error": {"type", "message", "status"}}`` -- plus
-  an optional machine-readable ``details`` dict (the admission controller's
-  cost hint rides there) -- and the type name maps back to the exception
-  class on the client (:func:`exception_from_payload` inverts
-  :func:`error_payload`);
+* domain errors travel in the envelope under their class name and the name
+  maps back to the exception class on the client
+  (:func:`exception_from_payload` inverts
+  :func:`~repro.server.protocol.error_payload`);
 * :class:`~repro.service.ServiceResult` travels as a plain dict
   (:func:`service_result_to_json` / :func:`service_result_from_json`);
 * request options are validated against the dataclass fields of
@@ -30,44 +31,19 @@ from repro.core.errors import (
     UnsupportedQueryError,
     VersionMismatchError,
 )
+from repro.server.protocol import ApiError
 from repro.service.query_service import ServiceResult, ShardTiming
 from repro.store.document_store import DocumentFailure
 from repro.xpath.parser import XPathSyntaxError
 
 __all__ = [
-    "ApiError",
     "status_of_exception",
-    "error_payload",
     "exception_from_payload",
     "parse_index_options",
     "parse_evaluation_options",
     "service_result_to_json",
     "service_result_from_json",
 ]
-
-
-class ApiError(ReproError):
-    """A request the server rejects with a specific HTTP status.
-
-    Raised by validation (missing field, oversized body, unknown route) and
-    re-created on the client from the error envelope of any non-2xx response
-    whose type is not one of the domain exceptions.
-    """
-
-    def __init__(
-        self,
-        status: int,
-        message: str,
-        error_type: str | None = None,
-        details: Mapping[str, Any] | None = None,
-    ):
-        super().__init__(message)
-        self.status = int(status)
-        self.error_type = error_type or type(self).__name__
-        #: Machine-readable context (e.g. the admission controller's cost
-        #: hint: estimated cost, configured budget, retry-after).  Travels in
-        #: the error envelope and survives the client-side round trip.
-        self.details = dict(details) if details else None
 
 
 #: Most-specific first; ``DocumentNotFoundError`` must precede its base
@@ -84,7 +60,7 @@ _STATUS_TABLE: tuple[tuple[type[Exception], int], ...] = (
 
 #: Wire type name -> exception class, for the client's reverse mapping.
 _EXCEPTION_BY_NAME: dict[str, type[Exception]] = {
-    cls.__name__: cls for cls, _ in _STATUS_TABLE if cls is not ApiError
+    cls.__name__: cls for cls, _ in _STATUS_TABLE
 }
 
 
@@ -96,19 +72,6 @@ def status_of_exception(exc: Exception) -> int:
         if isinstance(exc, cls):
             return status
     return 500
-
-
-def error_payload(exc: Exception, status: int | None = None, request_id: str | None = None) -> dict:
-    """The structured JSON body every error response carries."""
-    status = status if status is not None else status_of_exception(exc)
-    error_type = exc.error_type if isinstance(exc, ApiError) else type(exc).__name__
-    error: dict = {"type": error_type, "message": str(exc), "status": status}
-    if request_id:
-        error["request_id"] = request_id
-    details = getattr(exc, "details", None)
-    if details:
-        error["details"] = dict(details)
-    return {"error": error}
 
 
 def exception_from_payload(status: int, payload: Any, request_id: str | None = None) -> Exception:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from repro.core.errors import ReproError
 from repro.core.options import EvaluationOptions
-from repro.obs.counters import record_query
+from repro.obs.metrics import fold_engine_counters
 from repro.obs.tracing import get_tracer
 from repro.xpath.ast import ImpossibleTest, NameTest, TextTest
 from repro.xpath.bottomup import BottomUpEvaluator
@@ -197,7 +197,21 @@ class XPathEngine:
                     eval_span.set_attribute("count", count)
             stats.result_nodes = count
             query_span.set_attribute("count", count)
-        record_query(stats)
+        strategy = "bottom_up" if stats.strategy == "bottom-up" else "top_down"
+        fold_engine_counters(
+            {
+                "engine_queries_total": 1,
+                f"engine_queries_{strategy}_total": 1,
+                "engine_visited_nodes_total": stats.visited_nodes,
+                "engine_marked_nodes_total": stats.marked_nodes,
+                "engine_result_nodes_total": stats.result_nodes,
+                "engine_jumps_total": stats.jumps,
+                "engine_text_queries_total": stats.text_queries,
+                "engine_fm_index_queries_total": stats.used_fm_index,
+                "engine_rank_calls_total": stats.rank_calls,
+                "engine_kernel_batch_calls_total": stats.kernel_batch_calls,
+            }
+        )
         elapsed = time.perf_counter() - started
         return QueryResult(
             query=prepared.text,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.obs.counters import PLANNER_COUNTERS, record_plan
+from repro.obs.metrics import fold_engine_counters
 from repro.xpath.ast import (
     AndExpr,
     Axis,
@@ -208,7 +208,7 @@ class QueryPlanner:
             plan.reasons.append(
                 f"wildcard last step: bounding candidates by the document's {candidates} element nodes"
             )
-            PLANNER_COUNTERS.merge({"wildcard_candidate_fallbacks_total": 1})
+            fold_engine_counters({"planner_wildcard_candidate_fallbacks_total": 1})
         plan.seed_estimate = seeds
         plan.candidate_estimate = candidates
         if seeds > candidates:
@@ -239,7 +239,15 @@ class QueryPlanner:
         )
         plan.estimated_cost = plan.cost.for_strategy(plan.strategy)
         plan.result_estimate = plan.cost.result
-        record_plan(plan)
+        strategy = "bottom_up" if plan.strategy == "bottom-up" else "top_down"
+        fold_engine_counters(
+            {
+                "planner_plans_total": 1,
+                f"planner_plans_{strategy}_total": 1,
+                "planner_plans_naive_text_total": plan.uses_naive_text,
+                "planner_estimated_cost_total": float(plan.estimated_cost or 0.0),
+            }
+        )
         return plan
 
     # -- helpers ---------------------------------------------------------------------------------------------

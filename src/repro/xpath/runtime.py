@@ -39,8 +39,6 @@ class EvaluationStatistics:
     structures: ``kernel_batch_calls`` counts ``*_many`` kernel *invocations*
     (one ``tagged_desc_many`` over ten thousand nodes is a single call) and
     ``rank_calls`` the tag-sequence rank probes behind lazy range marks.
-    ``select_calls`` is kept for the exported metric name; jump resolution
-    runs on the kernels, so no engine path increments it.
     """
 
     visited_nodes: int = 0
@@ -51,7 +49,6 @@ class EvaluationStatistics:
     strategy: str = "top-down"
     used_fm_index: bool = False
     rank_calls: int = 0
-    select_calls: int = 0
     kernel_batch_calls: int = 0
 
     def as_dict(self) -> dict:
@@ -65,7 +62,6 @@ class EvaluationStatistics:
             "strategy": self.strategy,
             "used_fm_index": self.used_fm_index,
             "rank_calls": self.rank_calls,
-            "select_calls": self.select_calls,
             "kernel_batch_calls": self.kernel_batch_calls,
         }
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro import Document
 from repro.baseline import DomEngine
+from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.workloads import (
     generate_bio_xml,
     generate_medline_xml,
@@ -38,6 +39,21 @@ SMALL_SITE_XML = """
  </closed_auctions>
 </site>
 """
+
+
+@pytest.fixture()
+def registry():
+    """A fresh process-wide metrics registry; restores the previous one afterwards.
+
+    Request it *before* building stores, services or servers: they bind their
+    metric handles when constructed.
+    """
+    fresh = MetricsRegistry()
+    previous = set_registry(fresh)
+    try:
+        yield fresh
+    finally:
+        set_registry(previous)
 
 
 @pytest.fixture(scope="session")

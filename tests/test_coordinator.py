@@ -10,6 +10,8 @@ pass-through, hedging) is exercised over actual HTTP.
 from __future__ import annotations
 
 import asyncio
+import subprocess
+import sys
 import time
 
 import pytest
@@ -21,10 +23,15 @@ from repro.coordinator.http import parse_node_spec
 from repro.coordinator.merge import merge_batches, merge_results, node_failure
 from repro.server import ReproServer
 from repro.server.admission import AdmissionController
-from repro.server.json_api import ApiError
+from repro.server.protocol import ApiError
 from repro.service.query_service import QueryService
 from repro.store.document_store import DocumentStore
 from repro.xpath.parser import XPathSyntaxError
+
+
+# ``/v1/nodes`` reads the ``coordinator_*`` families, which every coordinator of
+# a process shares: each test gets a fresh process-wide registry.
+pytestmark = pytest.mark.usefixtures("registry")
 
 # ---------------------------------------------------------------------------
 # ring
@@ -385,6 +392,181 @@ class TestHedging:
             coordinator.stop()
             for backend in backends:
                 backend.stop()
+
+
+# ---------------------------------------------------------------------------
+# one counter mechanism, one HTTP base
+# ---------------------------------------------------------------------------
+
+#: ``(family, type, label names)`` of a freshly started server's ``/metrics``,
+#: captured at the commit before ISSUE 15 and changed in exactly three places:
+#: ``engine_select_calls_total`` is gone and the two plan-cache totals are
+#: counters (they were pushed through a gauge).
+_BOTH_PAGES = {
+    ("engine_fm_index_queries_total", "counter", ()),
+    ("engine_jumps_total", "counter", ()),
+    ("engine_kernel_batch_calls_total", "counter", ()),
+    ("engine_marked_nodes_total", "counter", ()),
+    ("engine_queries_bottom_up_total", "counter", ()),
+    ("engine_queries_top_down_total", "counter", ()),
+    ("engine_queries_total", "counter", ()),
+    ("engine_rank_calls_total", "counter", ()),
+    ("engine_result_nodes_total", "counter", ()),
+    ("engine_text_queries_total", "counter", ()),
+    ("engine_visited_nodes_total", "counter", ()),
+    ("http_rejected_total", "counter", ("reason",)),
+    ("http_request_seconds", "histogram", ("route",)),
+    ("http_requests_total", "counter", ("route", "method", "status")),
+    ("planner_estimated_cost_total", "counter", ()),
+    ("planner_plans_bottom_up_total", "counter", ()),
+    ("planner_plans_naive_text_total", "counter", ()),
+    ("planner_plans_top_down_total", "counter", ()),
+    ("planner_plans_total", "counter", ()),
+    ("planner_wildcard_candidate_fallbacks_total", "counter", ()),
+    ("process_major_page_faults_total", "counter", ()),
+    ("process_max_rss_bytes", "gauge", ()),
+    ("process_minor_page_faults_total", "counter", ()),
+    ("process_open_fds", "gauge", ()),
+    ("process_rss_bytes", "gauge", ()),
+}
+_NODE_PAGE = _BOTH_PAGES | {
+    ("admission_admitted_total", "counter", ()),
+    ("admission_inflight_cost", "gauge", ()),
+    ("admission_rejected_total", "counter", ("reason",)),
+    ("inflight_requests", "gauge", ()),
+    ("plan_cache_entries", "gauge", ()),
+    ("plan_cache_hit_ratio", "gauge", ()),
+    ("plan_cache_hits_total", "counter", ()),
+    ("plan_cache_misses_total", "counter", ()),
+    ("service_document_failures_total", "counter", ("error",)),
+    ("service_eval_seconds_total", "counter", ()),
+    ("service_load_seconds_total", "counter", ()),
+    ("service_shard_seconds", "histogram", ("executor",)),
+    ("service_sweep_seconds", "histogram", ("executor",)),
+    ("store_cache_evictions_total", "counter", ()),
+    ("store_cache_hits_total", "counter", ()),
+    ("store_cache_misses_total", "counter", ()),
+    ("store_cache_remaps_total", "counter", ()),
+    ("store_cache_resident_documents", "gauge", ()),
+    ("store_mapped_bytes", "gauge", ()),
+    ("store_mapped_documents", "gauge", ()),
+    ("store_mapped_resident_bytes", "gauge", ()),
+}
+_COORDINATOR_PAGE = _BOTH_PAGES | {
+    ("coordinator_health_transitions_total", "counter", ("node", "state")),
+    ("coordinator_hedge_wins_total", "counter", ("node",)),
+    ("coordinator_hedges_total", "counter", ("node",)),
+    ("coordinator_inflight_requests", "gauge", ()),
+    ("coordinator_node_errors_total", "counter", ("node", "reason")),
+    ("coordinator_node_healthy", "gauge", ("node",)),
+    ("coordinator_node_requests_total", "counter", ("node", "route")),
+    ("coordinator_nodes_configured", "gauge", ()),
+    ("coordinator_nodes_healthy", "gauge", ()),
+}
+
+
+def _page_contract(server, registry):
+    """``(family, type, label names)`` of a live server's strictly parsed ``/metrics``."""
+    with ReproClient(*server.address, retries=0) as client:
+        page = client.metrics()
+    return {
+        (name.removeprefix("repro_"), family["type"], registry.get(name.removeprefix("repro_")).labelnames)
+        for name, family in page.items()
+    }
+
+
+def _sample(page, family, **labels):
+    """Sum of a parsed family's samples whose labels include ``labels``."""
+    return sum(
+        value for _, have, value in page[family]["samples"] if labels.items() <= have.items()
+    )
+
+
+class TestMetricsPages:
+    def test_node_page_contract(self, tmp_path, registry):
+        backend = _backend(tmp_path, "solo")
+        try:
+            assert _page_contract(backend, registry) == _NODE_PAGE
+        finally:
+            backend.stop()
+
+    def test_coordinator_page_contract(self, registry):
+        with CoordinatorServer(["n0=127.0.0.1:9"], probe_interval=30.0) as coordinator:
+            assert _page_contract(coordinator, registry) == _COORDINATOR_PAGE
+
+    def test_coordinator_and_node_in_one_process_do_not_collide(self, tmp_path, registry):
+        """Both front-ends report into one registry; the page being scraped is
+        itself the only request in flight, on its own gauge."""
+        backend = _backend(tmp_path, "solo")
+        coordinator = CoordinatorServer([f"n0=127.0.0.1:{backend.port}"], probe_interval=30.0)
+        coordinator.start()
+        try:
+            for server, own, other in (
+                (coordinator, "repro_coordinator_inflight_requests", "repro_inflight_requests"),
+                (backend, "repro_inflight_requests", "repro_coordinator_inflight_requests"),
+            ):
+                assert _page_contract(server, registry) == _NODE_PAGE | _COORDINATOR_PAGE
+                with ReproClient(*server.address, retries=0) as client:
+                    page = client.metrics()
+                assert (_sample(page, own), _sample(page, other)) == (1, 0)
+        finally:
+            coordinator.stop()
+            backend.stop()
+
+    def test_nodes_tallies_are_the_registry_values(self, tmp_path):
+        """``/v1/nodes`` after a hedged, a failed-over and a failed call reports
+        exactly what ``/metrics`` does -- there is no second set of numbers."""
+        backends = [_backend(tmp_path, f"b{i}") for i in range(2)]
+        specs = [f"n{i}=127.0.0.1:{srv.port}" for i, srv in enumerate(backends)]
+        coordinator = CoordinatorServer(specs, replication=2, hedge_ms=40.0, probe_interval=30.0)
+        coordinator.start()
+        client = CoordinatorClient("127.0.0.1", coordinator.port, retries=0)
+        try:
+            client.put_document("d", "<a><b/><b/></a>")
+            primary, secondary = coordinator.ring.nodes_for("d", 2)
+            by_name = dict(zip(("n0", "n1"), backends))
+            real_request = coordinator._clients[primary].request
+
+            async def stalled(method, path, payload=None, **kwargs):
+                await asyncio.sleep(0.5)
+                return await real_request(method, path, payload, **kwargs)
+
+            coordinator._clients[primary].request = stalled
+            assert client.run("//b", doc_ids=["d"]).counts == {"d": 2}  # hedged
+            coordinator._clients[primary].request = real_request
+            by_name[primary].stop()
+            assert client.run("//b", doc_ids=["d"]).counts == {"d": 2}  # failed over
+            by_name[secondary].stop()
+            assert client.run("//b", doc_ids=["d"]).num_failures == 2  # failed
+
+            page = client.metrics()
+            table = {n["name"]: n for n in client.nodes()["nodes"]}
+            for name, row in table.items():
+                for field, family in (
+                    ("requests", "repro_coordinator_node_requests_total"),
+                    ("errors", "repro_coordinator_node_errors_total"),
+                    ("hedges", "repro_coordinator_hedges_total"),
+                    ("hedge_wins", "repro_coordinator_hedge_wins_total"),
+                ):
+                    assert row[field] == _sample(page, family, node=name), (name, field)
+            assert (table[secondary]["hedges"], table[secondary]["hedge_wins"]) == (1, 1)
+            assert table[primary]["errors"] == 2 and table[secondary]["errors"] == 1
+        finally:
+            client.close()
+            coordinator.stop()
+            for backend in backends:
+                backend.stop()
+
+
+def test_importing_the_coordinator_does_not_load_the_engine():
+    probe = (
+        "import sys, repro.coordinator.http\n"
+        "heavy = ('numpy', 'repro.xpath', 'repro.tree', 'repro.text', 'repro.store', 'repro.service')\n"
+        "print([name for name in heavy if name in sys.modules])"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestNodeDownAtStartup:

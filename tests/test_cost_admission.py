@@ -15,12 +15,12 @@ import pytest
 
 from repro import Document
 from repro.client import ReproClient
-from repro.obs.counters import PLANNER_COUNTERS
-from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.obs.metrics import get_registry
 from repro.obs.workload import WorkloadAnalytics, set_workload
 from repro.server.admission import AdmissionController
 from repro.server.http import ReproServer
-from repro.server.json_api import ApiError, error_payload, exception_from_payload
+from repro.server.json_api import exception_from_payload
+from repro.server.protocol import ApiError, error_payload
 from repro.service.query_service import QueryService
 from repro.store.document_store import DocumentStore
 from repro.xpath.cost import (
@@ -41,16 +41,6 @@ XML = (
 @pytest.fixture(scope="module")
 def document():
     return Document.from_string(XML)
-
-
-@pytest.fixture()
-def registry():
-    fresh = MetricsRegistry()
-    previous = set_registry(fresh)
-    try:
-        yield fresh
-    finally:
-        set_registry(previous)
 
 
 # -- cost arithmetic -------------------------------------------------------------------
@@ -107,14 +97,14 @@ class TestEnginePlanExport:
         assert record["plan"]["estimated_cost"] == record["estimated_cost"]
 
     def test_planner_counters_accumulate(self, document):
-        before = PLANNER_COUNTERS.snapshot()
+        before = get_registry().counter_values()
         fresh = Document.from_string(XML)  # fresh plan cache -> guaranteed misses
         fresh.engine.plan("//item")
         fresh.engine.plan('//*[contains(text(), "gold")]')
-        delta = PLANNER_COUNTERS.delta_since(before)
-        assert delta["plans_total"] >= 2
-        assert delta["wildcard_candidate_fallbacks_total"] >= 1
-        assert delta["estimated_cost_total"] > 0
+        delta = {name: moved[()] for name, (_, _, moved) in get_registry().counter_delta(before).items()}
+        assert delta["planner_plans_total"] >= 2
+        assert delta["planner_wildcard_candidate_fallbacks_total"] >= 1
+        assert delta["planner_estimated_cost_total"] > 0
 
 
 # -- service-level estimation ----------------------------------------------------------
@@ -266,7 +256,7 @@ class TestAdmissionController:
 
 def test_details_round_trip_through_error_envelope():
     original = ApiError(429, "over budget", error_type="over_budget", details={"cost_budget": 10.0})
-    payload = error_payload(original, request_id="r1")
+    payload = error_payload(original, original.status, request_id="r1")
     assert payload["error"]["details"] == {"cost_budget": 10.0}
     rebuilt = exception_from_payload(429, payload)
     assert isinstance(rebuilt, ApiError)

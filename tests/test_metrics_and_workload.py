@@ -9,34 +9,23 @@ in ``0 < resident <= mapped``.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
 
 from repro import Document, DocumentStore, IndexOptions, QueryService
-from repro.obs.counters import ENGINE_COUNTERS, Counters
-from repro.obs.metrics import MetricsRegistry, parse_prometheus_text, set_registry
+from repro.obs.metrics import MetricsRegistry, parse_prometheus_text
 from repro.obs.resources import (
     document_residency,
     mincore_available,
     process_resources,
 )
 from repro.obs.workload import WorkloadAnalytics, fingerprint, set_workload
-from repro.server.metrics import ServerMetrics
+from repro.server.protocol import AsyncHttpServer
 from repro.workloads import generate_xmark_xml
 
 SMALL_XML = "<site><item><name>gold ring</name></item><item><name>tin can</name></item></site>"
-
-
-@pytest.fixture()
-def registry():
-    """A fresh global registry; restores the previous one afterwards."""
-    fresh = MetricsRegistry()
-    previous = set_registry(fresh)
-    try:
-        yield fresh
-    finally:
-        set_registry(previous)
 
 
 @pytest.fixture()
@@ -129,19 +118,28 @@ def test_disabled_registry_noops(registry):
     assert fam.value == 2
 
 
-def test_concurrent_increments_from_threads_are_exact(registry):
+def test_concurrent_increments_and_merges_are_exact(registry):
+    """Direct increments race with merged worker deltas on one family (what a
+    serving process does while process-pool sweeps come home)."""
     fam = registry.counter("threads_total", "T.")
     child = fam.labels()
+    delta = {"threads_total": ("T.", (), {(): 1})}
 
-    def work():
+    def work(merging: bool):
         for _ in range(1000):
-            child.inc()
+            registry.merge(delta) if merging else child.inc()
 
-    threads = [threading.Thread(target=work) for _ in range(8)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i % 2 == 0,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
     assert fam.value == 8000
 
 
@@ -197,69 +195,108 @@ def test_parser_handles_escapes_and_braces_in_label_values():
     assert value == 1
 
 
-# -- ServerMetrics façade --------------------------------------------------------------
+# -- the server's families ------------------------------------------------------------
 
 
-def test_server_metrics_page_is_strictly_parseable(registry):
-    metrics = ServerMetrics()
-    metrics.observe_request("/v1/query", "POST", 200, 0.012)
-    metrics.observe_rejection("oversized")
-    page = metrics.render(gauges={"inflight_requests": 1, "plan_cache_hit_ratio": 0.5})
-    families = parse_prometheus_text(page)
+def test_server_families_are_registered_at_construction_and_strictly_parseable(registry):
+    server = AsyncHttpServer()  # never started: no socket
+    server._m_http_requests.labels(route="/v1/query", method="POST", status="200").inc()
+    server._m_http_rejected.labels(reason="oversized").inc()
+    server._m_http_seconds.labels(route="/v1/query").observe(0.012)
+    assert server.registry is registry
+    families = parse_prometheus_text(registry.render())
     assert families["repro_http_requests_total"]["type"] == "counter"
     assert families["repro_http_request_seconds"]["type"] == "histogram"
-    # Engine counter and process resource families ride along as callbacks.
-    assert "repro_engine_queries_total" in families
+    # Live values are callbacks bound once, not values pushed at scrape time.
+    assert registry.get("inflight_requests").callback is not None
+    assert families["repro_inflight_requests"]["samples"] == [("repro_inflight_requests", {}, 0.0)]
+    # Engine counter and process resource families ride along from the first page.
+    assert families["repro_engine_queries_total"]["samples"] == [("repro_engine_queries_total", {}, 0.0)]
     assert "repro_process_max_rss_bytes" in families
 
 
-def test_server_metrics_non_default_namespace_is_isolated(registry):
-    private = ServerMetrics(namespace="other")
-    assert private.registry is not registry
-    private.observe_request("/x", "GET", 200, 0.001)
-    assert "other_http_requests_total" in private.render()
-    # Nothing leaked into the default-namespace registry.
-    assert registry.get("http_requests_total") is None
+# -- counters across processes ---------------------------------------------------------
 
 
-# -- engine counters across processes --------------------------------------------------
+def test_counter_delta_and_merge_round_trip():
+    worker, parent = MetricsRegistry(), MetricsRegistry()
+    worker.counter("engine_queries_total", "Queries.").inc(2)
+    before = worker.counter_values()
+    worker.counter("engine_queries_total", "Queries.").inc(3)
+    worker.counter("crc_total", "Checks, by mode.", labels=("mode",)).labels(mode="lazy").inc(7)
+    worker.counter("untouched_total", "Never moved.").inc(0)
+    worker.gauge("resident", "A gauge is not shipped.").set(5)
+    worker.counter_callback("live_total", "A callback is not shipped.", lambda: 9)
+    delta = worker.counter_delta(before)
+    assert delta == {
+        "engine_queries_total": ("Queries.", (), {(): 3}),
+        "crc_total": ("Checks, by mode.", ("mode",), {("lazy",): 7}),
+    }
+    parent.counter("engine_queries_total", "Queries.").inc(10)
+    parent.merge(delta)  # registers what the parent never touched itself
+    parent.merge(delta)
+    assert parent.get("engine_queries_total").value == 16
+    assert parent.get("crc_total").labels(mode="lazy").value == 14
+    assert parent.get("resident") is None and parent.get("live_total") is None
 
 
-def test_engine_counter_delta_and_merge():
-    fields = {"queries_total": "Queries.", "visited_nodes_total": "Visited nodes."}
-    counters = Counters(fields)
-    before = counters.snapshot()
-    merged = Counters(fields)
-    merged.merge({"queries_total": 3, "visited_nodes_total": 70})
-    delta = merged.delta_since(before)
-    assert delta["queries_total"] == 3
-    assert delta["visited_nodes_total"] == 70
-    counters.merge(delta)
-    assert counters.snapshot()["queries_total"] == 3
-
-
-def test_process_executor_counters_match_inline(tmp_path):
+def test_process_executor_counters_match_inline(tmp_path, registry):
     store = DocumentStore(tmp_path / "corpus", num_shards=4, cache_size=4)
     for i in range(4):
         store.add_xml(f"doc-{i}", generate_xmark_xml(scale=0.005, seed=i), IndexOptions(sample_rate=16))
     queries = ["//item", "//item/name"]
 
-    ENGINE_COUNTERS.reset()
+    before = registry.counter_values()
     inline = QueryService(store, max_workers=1)
     inline_results = inline.run_many(queries)
     inline.close()
-    inline_counts = ENGINE_COUNTERS.snapshot()
+    inline_counts = {name: moved[()] for name, (_, _, moved) in registry.counter_delta(before).items()}
 
-    ENGINE_COUNTERS.reset()
+    before = registry.counter_values()
     with QueryService(store, max_workers=2, executor="process") as service:
         process_results = service.run_many(queries)
-    process_counts = ENGINE_COUNTERS.snapshot()
+    process_counts = {name: moved[()] for name, (_, _, moved) in registry.counter_delta(before).items()}
 
     assert [r.counts for r in process_results] == [r.counts for r in inline_results]
     # The shipped worker deltas make the parent totals match the inline sweep.
-    for field in ("queries_total", "visited_nodes_total", "result_nodes_total"):
+    for field in ("engine_queries_total", "engine_visited_nodes_total", "engine_result_nodes_total"):
         assert process_counts[field] == inline_counts[field], field
-    assert process_counts["queries_total"] == len(queries) * 4
+    assert process_counts["engine_queries_total"] == len(queries) * 4
+
+
+def test_worker_side_store_and_storage_counters_reach_the_parent(tmp_path, registry):
+    """The same 2-shard sweep through a thread and a process service on a cold
+    store moves the store-cache and storage-codec counters on the *parent's*
+    page by the same amount (only engine/planner deltas were shipped before)."""
+    root = tmp_path / "corpus"
+    store = DocumentStore(root, num_shards=2, cache_size=4)
+    for i in range(4):
+        store.add_xml(f"doc-{i}", SMALL_XML)
+    store.close()
+    moved = {}
+    for executor in ("thread", "process"):
+        before = parse_prometheus_text(registry.render())
+        cold = DocumentStore(root, cache_size=4, verify="eager")
+        with QueryService(cold, max_workers=2, executor=executor) as service:
+            assert service.run("//item").total == 8
+        after = parse_prometheus_text(registry.render())
+
+        def value(page, family):
+            return sum(v for _, _, v in page.get(family, {"samples": []})["samples"])
+
+        moved[executor] = {
+            family: value(after, family) - value(before, family)
+            for family in (
+                "repro_store_cache_misses_total",
+                "repro_storage_mapped_loads_total",
+                "repro_storage_mapped_bytes_total",
+                "repro_storage_crc_verifications_total",
+            )
+        }
+    assert moved["thread"]["repro_store_cache_misses_total"] == 4
+    assert moved["thread"]["repro_storage_mapped_loads_total"] == 4
+    assert moved["thread"]["repro_storage_crc_verifications_total"] > 0  # a labelled family travels too
+    assert moved["process"] == moved["thread"]
 
 
 # -- workload analytics ----------------------------------------------------------------

@@ -15,14 +15,12 @@ import io
 import json
 import logging
 import threading
-from types import SimpleNamespace
 
 import pytest
 
 from repro import Document, DocumentStore, QueryService
 from repro.client import ReproClient
 from repro.obs import (
-    ENGINE_COUNTERS,
     NULL_SPAN,
     JsonLineFormatter,
     KeyValueFormatter,
@@ -31,7 +29,6 @@ from repro.obs import (
     get_tracer,
     set_tracer,
 )
-from repro.obs.counters import record_query
 from repro.server import ApiError, ReproServer
 from repro.server.json_api import service_result_from_json, service_result_to_json
 from repro.service.query_service import ServiceResult, ShardTiming
@@ -160,48 +157,29 @@ def test_tracer_rejects_zero_capacity():
 # -- engine counters -------------------------------------------------------------------
 
 
-def _stats(strategy="top-down", **overrides):
-    base = dict(
-        strategy=strategy,
-        visited_nodes=5,
-        marked_nodes=2,
-        result_nodes=2,
-        jumps=1,
-        text_queries=1,
-        used_fm_index=True,
-        rank_calls=3,
-        select_calls=4,
-        kernel_batch_calls=2,
-    )
-    base.update(overrides)
-    return SimpleNamespace(**base)
-
-
-def test_engine_counters_fold_and_reset():
-    counters = ENGINE_COUNTERS
-    counters.reset()
-    record_query(_stats("top-down"))
-    record_query(_stats("bottom-up", used_fm_index=False))
-    snap = counters.snapshot()
-    assert snap["queries_total"] == 2
-    assert snap["queries_top_down_total"] == 1
-    assert snap["queries_bottom_up_total"] == 1
-    assert snap["visited_nodes_total"] == 10
-    assert snap["fm_index_queries_total"] == 1
-    assert snap["rank_calls_total"] == 6
-    assert snap["select_calls_total"] == 8
-    assert snap["kernel_batch_calls_total"] == 4
-    counters.reset()
-    assert all(value == 0 for value in counters.snapshot().values())
-
-
-def test_engine_folds_into_the_global_counters():
+def test_engine_folds_each_finished_query_into_the_registry(registry):
     document = Document.from_string(SMALL_XML)
-    before = ENGINE_COUNTERS.snapshot()
-    assert document.count("//b") == 2
-    after = ENGINE_COUNTERS.snapshot()
-    assert after["queries_total"] == before["queries_total"] + 1
-    assert after["visited_nodes_total"] >= before["visited_nodes_total"]
+    top_down = document.evaluate("//b")
+    bottom_up = document.evaluate('//b[contains(., "hello")]')
+    assert (top_down.count, bottom_up.count) == (2, 1)
+    assert bottom_up.statistics.strategy == "bottom-up" and bottom_up.statistics.used_fm_index
+    both = (top_down.statistics, bottom_up.statistics)
+
+    def total(name):
+        family = registry.get(f"engine_{name}_total")
+        return 0 if family is None else family.value  # an all-zero family is never touched
+
+    assert total("queries") == 2
+    assert total("queries_top_down") == 1
+    assert total("queries_bottom_up") == 1
+    assert total("fm_index_queries") == 1
+    assert total("result_nodes") == 3
+    for field in ("visited_nodes", "marked_nodes", "jumps", "text_queries", "rank_calls", "kernel_batch_calls"):
+        assert total(field) == sum(getattr(stats, field) for stats in both), field
+    assert registry.get("engine_select_calls_total") is None
+    # Plans are counted when built (both queries missed the document's plan cache).
+    assert registry.get("planner_plans_total").value == 2
+    assert registry.get("planner_plans_bottom_up_total").value == 1
 
 
 # -- EXPLAIN ---------------------------------------------------------------------------
@@ -404,11 +382,11 @@ def test_metrics_include_engine_families(http_client):
     for family in (
         "repro_engine_queries_total",
         "repro_engine_rank_calls_total",
-        "repro_engine_select_calls_total",
         "repro_engine_kernel_batch_calls_total",
     ):
         assert f"# TYPE {family} counter" in page
         assert any(line.startswith(f"{family} ") for line in page.splitlines())
+    assert "repro_engine_select_calls_total" not in page
 
 
 def test_access_log_and_slow_query_log(http_server):
